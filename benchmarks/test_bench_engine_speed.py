@@ -49,7 +49,13 @@ def test_bench_engine_speed(benchmark):
     print(format_report(results))
     ARTIFACT.write_text(json.dumps(results, indent=2) + "\n")
 
-    violations = check_floors(results, load_floors())
+    floors = load_floors()
+    # One replay loop, one floor set, covering every bench shape.
+    assert [key for key in floors if key.endswith("speedup_floors")] == [
+        "scalar_speedup_floors"
+    ]
+    assert set(floors["scalar_speedup_floors"]) == set(results["shapes"])
+    violations = check_floors(results, floors)
     assert not violations, "; ".join(violations) + (
         " (see BENCH_engine.json for the full table, BENCH_baseline.json "
         "for the pinned floors)"

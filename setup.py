@@ -15,10 +15,9 @@ setup(
         "via a compiler/OS/hardware co-design (simulator + experiments)"
     ),
     python_requires=">=3.10",
-    # The simulator is dependency-free; NumPy only unlocks the vectorized
-    # batch replay kernel (engine=vector/auto falls back to the scalar loop
-    # without it, bit-identically).
-    extras_require={"fast": ["numpy"]},
+    # The simulator is dependency-free; NumPy only backs Figure 7's
+    # costly-miss percentile ranking (repro.analysis.coverage).
+    extras_require={"figure7": ["numpy"]},
     package_dir={"": "src"},
     packages=find_packages("src"),
     entry_points={

@@ -9,6 +9,10 @@ libraries) that TRRIP's compiler never saw.
 
 The per-line cost is the demand instruction-fetch stall attributed to that
 line by the core model (``SimulationResult.line_stall_cycles``).
+
+The percentile ranking uses NumPy, the package's only third-party
+dependency (the ``figure7`` extra).  It is imported when a coverage is
+computed, so the rest of ``repro`` runs without it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-import numpy as np
+from repro.common.errors import ConfigurationError
 
 #: Percentiles Figure 7 sweeps.
 DEFAULT_PERCENTILES: tuple[int, ...] = (50, 60, 70, 80, 90)
@@ -61,6 +65,14 @@ def costly_miss_coverage(
         Figure 7b: drop external lines before ranking (they are outside the
         compiler's reach by construction).
     """
+    try:
+        import numpy as np
+    except ImportError as error:
+        raise ConfigurationError(
+            "Figure 7's costly-miss coverage needs NumPy "
+            "(pip install 'repro-trrip[figure7]')"
+        ) from error
+
     percentiles = tuple(percentiles)
     costs = {
         line: cost for line, cost in line_costs.items() if cost > 0

@@ -35,14 +35,12 @@ from repro.api.scenario import (
     resolve_benchmark,
 )
 from repro.cache.replacement.spec import PolicySpec
-from repro.common.errors import ConfigurationError
 from repro.core.pipeline import PipelineOptions
 from repro.sim.config import (
     BASELINE_POLICY,
     EVALUATED_POLICIES,
     SimulatorConfig,
 )
-from repro.sim.simulator import ENGINES
 from repro.workloads.capture import TraceArchive
 from repro.workloads.spec import PROXY_BENCHMARK_NAMES
 
@@ -67,14 +65,9 @@ class Session:
         jobs: Optional[int] = None,
         traces: "Optional[TraceArchive | str]" = None,
         lockstep: bool = True,
-        engine: str = "auto",
     ) -> None:
         self.config = config or SimulatorConfig.default()
         self.config.validate()
-        if engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
         self.store = store
         self.options = options or PipelineOptions()
         #: Default worker count for plan execution (``None``/1 = serial,
@@ -91,13 +84,6 @@ class Session:
         #: (bit-identical results; see
         #: :meth:`~repro.experiments.runner.BenchmarkRunner.run_lockstep_resolved`).
         self.lockstep = lockstep
-        #: Packed-trace replay engine every runner this session creates uses
-        #: (``"scalar"``, ``"vector"`` or ``"auto"``).  Results are
-        #: bit-identical across engines — the knob never enters store keys or
-        #: runner identity, so cached results are shared freely between
-        #: engine choices; only replay speed (and, for ``"vector"``, the
-        #: strictness of refusing unbatchable configurations) changes.
-        self.engine = engine
         self._runners: dict[tuple, BenchmarkRunner] = {}
 
     @classmethod
@@ -126,7 +112,6 @@ class Session:
                 options=runner.pipeline_options,
                 jobs=jobs,
                 traces=runner.trace_archive,
-                engine=runner.engine,
             )
             session._runners[
                 session._runner_key(runner.config, runner.pipeline_options)
@@ -158,7 +143,6 @@ class Session:
                 pipeline_options=run_options,
                 store=self.store,
                 trace_archive=self.traces,
-                engine=self.engine,
             )
             self._runners[key] = runner
         return runner
@@ -284,12 +268,8 @@ class Session:
         hierarchies advance together.  Reuse-tracking points always run
         solo (the L2 observer hooks one hierarchy at a time).  Results are
         bit-identical to point-by-point execution for any grouping.
-
-        Lockstep replay is the scalar loop, so a forced ``engine="vector"``
-        session skips the grouping and runs every point solo through the
-        vector kernel instead.
         """
-        if not self.lockstep or self.engine == "vector":
+        if not self.lockstep:
             return [self._run_request(request) for request in unique]
         groups: dict[tuple, list[int]] = {}
         for index, request in enumerate(unique):

@@ -152,8 +152,7 @@ class SetAssociativeCache:
         slots = num_sets * associativity
         #: Plain lists rather than ``array``/``bytearray``: CPython list
         #: indexing is measurably cheaper than buffer-backed indexing on the
-        #: fill/touch hot paths, which dominates the occasional ndarray
-        #: snapshot the vector kernel takes per window (``tag_arrays``).
+        #: fill/touch hot paths.
         self._lines: list[int] = [0] * slots
         self._valid = bytearray(slots)
         self._dirty: list[int] = [0] * slots
@@ -344,25 +343,6 @@ class SetAssociativeCache:
             for line, way in self._line_map.items()
             if line & mask == set_index
         }
-
-    def tag_arrays(self):
-        """NumPy copies of the tag columns at this instant, ``(lines, valid)``.
-
-        ``lines`` is an int64 snapshot of the resident-line column and
-        ``valid`` a uint8 snapshot of the valid bits, both indexed by
-        ``slot = set_index * associativity + way``.  The vector kernel takes
-        one snapshot per cache per replay window for batched tag matching
-        (gather + compare across all ways of the addressed sets); the copy of
-        a few thousand slots is noise next to the window's probe work.
-
-        NumPy is imported lazily: the scalar engine never needs it.
-        """
-        import numpy
-
-        return (
-            numpy.array(self._lines, dtype=numpy.int64),
-            numpy.frombuffer(self._valid, dtype=numpy.uint8),
-        )
 
     # -------------------------------------------------------------- lookups
     def probe(self, address: int) -> Optional[int]:

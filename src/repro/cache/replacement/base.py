@@ -251,15 +251,3 @@ def klass_feature_is_none(owner: type, feature: str) -> bool:
 def is_request_free_victim(policy: ReplacementPolicy) -> bool:
     """Whether ``policy``'s victim selection provably ignores the request."""
     return type(policy).select_victim is ReplacementPolicy.select_victim
-
-
-def is_request_free_evict(policy: ReplacementPolicy) -> bool:
-    """Whether ``policy``'s eviction update provably ignores the request.
-
-    True when ``on_evict`` is the base-class no-op.  Policies with a
-    declarative ``evict_update_spec`` are also request-free on evictions,
-    but the cache handles that separately (the spec bypasses the hook);
-    this helper answers for the *hook call* itself, which is what the
-    vector kernel's batchability gate needs.
-    """
-    return type(policy).on_evict is ReplacementPolicy.on_evict

@@ -124,7 +124,6 @@ class FIFOPolicy(ReplacementPolicy):
 
     def on_insert(self, set_index: int, way: int, request: MemoryRequest) -> None:
         # Request-indifferent: the stamp is a pure function of policy state.
-        # The vector kernel relies on that (it passes request=None).
         cell = self._clock_cell
         clock = cell[0] + 1
         cell[0] = clock

@@ -124,14 +124,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         help="worker processes for grid sweeps (0 = all cores; default: serial)",
     )
     parser.add_argument(
-        "--engine",
-        choices=("scalar", "vector", "auto"),
-        default="auto",
-        help="packed-trace replay engine: the event-at-a-time scalar loop, "
-        "the NumPy batch kernel (fails on configurations it cannot replay), "
-        "or auto-selection (default).  Results are bit-identical either way",
-    )
-    parser.add_argument(
         "--policy",
         action="append",
         default=None,
@@ -279,13 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write the JSON report to FILE",
     )
-    bench_parser.add_argument(
-        "--engine",
-        choices=("scalar", "vector", "auto"),
-        default="auto",
-        help="replay engine the fast side measures (default: auto); floors "
-        "are asserted per engine (see BENCH_baseline.json)",
-    )
 
     serve_parser = sub.add_parser(
         "serve",
@@ -325,12 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="scaled",
         help="default configuration for submissions that name none "
         "(default: scaled)",
-    )
-    serve_parser.add_argument(
-        "--engine",
-        choices=("scalar", "vector", "auto"),
-        default="auto",
-        help="packed-trace replay engine (default: auto)",
     )
     serve_parser.add_argument(
         "--ready-file",
@@ -654,7 +633,6 @@ def _make_context(args) -> ExperimentContext:
         config=config,
         store=_make_store(args),
         traces=_make_traces(args),
-        engine=getattr(args, "engine", "auto"),
     )
     return ExperimentContext(
         config=config,
@@ -912,7 +890,6 @@ def _cmd_bench(args) -> int:
         rounds=args.rounds or ROUNDS,
         tiny=args.tiny,
         sweep=not args.no_sweep,
-        engine=args.engine,
     )
     print(format_report(report))
     if args.output:
@@ -947,7 +924,6 @@ def _cmd_serve(args) -> int:
             config=NAMED_CONFIGS[config_name](),
             store=_make_store(args),
             traces=_make_traces(args),
-            engine=args.engine,
         )
 
     # Durability wiring: the journal records accepted submissions for

@@ -259,30 +259,6 @@ class PackedTrace:
         self._events_cache[line_size] = (len(self.pc), events)
         return events
 
-    def event_windows(
-        self, line_size: int, window: int
-    ) -> Iterator[tuple[array, array, array, array]]:
-        """Yield the replay-event columns in consecutive ``window``-sized
-        slices: ``(indices, pcs, flag_words, fetch_lines)`` per window.
-
-        The vector kernel replays one window at a time — probing the caches
-        for the whole window in a batch, then applying the ops in order — so
-        the slicing boundary is *events*, not instructions.  The final window
-        is short when the event count is not a multiple of ``window``.
-        """
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
-        indices, pcs, flags, lines = self.fetch_events(line_size)
-        total = len(indices)
-        for start in range(0, total, window):
-            stop = start + window
-            yield (
-                indices[start:stop],
-                pcs[start:stop],
-                flags[start:stop],
-                lines[start:stop],
-            )
-
     def mem_lines(self, line_size: int) -> array:
         """Per-instruction *virtual line numbers* of the memory operands.
 

@@ -60,16 +60,8 @@ SWEEP_BENCHMARK = "sqlite"
 SWEEP_POLICIES = ("srrip", "lru", "drrip", "trrip-1")
 
 #: Fallback floors used when no ``BENCH_baseline.json`` is found (kept in
-#: sync with the committed file).  ``speedup_floors`` applies to the default
-#: (``auto``/``vector``) replay engine; ``scalar_speedup_floors`` pins the
-#: scalar loop so a regression in either kernel is caught independently.
+#: sync with the committed file).
 DEFAULT_FLOORS = {
-    "speedup_floors": {
-        "hot_loop": 8.0,
-        "resident": 5.0,
-        "mixed": 4.0,
-        "streaming": 4.5,
-    },
     "scalar_speedup_floors": {
         "hot_loop": 6.5,
         "resident": 4.0,
@@ -145,13 +137,11 @@ def measure_shape(
     shape: str,
     instructions: int = INSTRUCTIONS,
     rounds: int = ROUNDS,
-    engine: str = "auto",
 ) -> dict:
     """Interleaved best-of-N measurement of both engines on one shape.
 
-    ``engine`` selects the fast side's packed-trace replay kernel (the seed
-    baseline side is always the record loop); results must stay bit-identical
-    regardless, which the inline assertions enforce on every round.
+    Both sides must produce bit-identical results, which the inline
+    assertions enforce on the last round.
     """
     records, packed = build_traces(shape, instructions)
     config = SimulatorConfig.scaled()
@@ -165,7 +155,7 @@ def measure_shape(
         seed_result = core.run(records)
         best_seed = min(best_seed, time.perf_counter() - start)
 
-        simulator = SystemSimulator(config, benchmark=shape, engine=engine)
+        simulator = SystemSimulator(config, benchmark=shape)
         simulator.warm_up(packed)
         start = time.perf_counter()
         fast_result = simulator.run(packed)
@@ -247,20 +237,17 @@ def run_engine_bench(
     rounds: int = ROUNDS,
     tiny: bool = False,
     sweep: bool = True,
-    engine: str = "auto",
 ) -> dict:
     """The full bench report: per-shape engine speed plus the lockstep sweep."""
     if tiny:
         instructions = min(instructions, TINY_INSTRUCTIONS)
     shapes = {
-        shape: measure_shape(shape, instructions, rounds, engine=engine)
-        for shape in SHAPES
+        shape: measure_shape(shape, instructions, rounds) for shape in SHAPES
     }
     report = {
         "unit": "simulated instructions per second",
         "baseline": "seed-equivalent record loop (repro.experiments.seed_engine)",
         "engine": "flat-array caches + PackedTrace geometry columns",
-        "replay_engine": engine,
         "tiny": tiny,
         "shapes": shapes,
         "peak_speedup": max(row["speedup"] for row in shapes.values()),
@@ -269,8 +256,8 @@ def run_engine_bench(
         report["lockstep_sweep"] = measure_lockstep_sweep(tiny=tiny)
     reference = load_floors().get("reference")
     if reference and not tiny:
-        # Improvement over the last committed BENCH_engine.json reference
-        # block (the previous PR's scalar engine).  The speedup ratio is the
+        # Improvement over the committed reference block (an earlier build
+        # of the same replay loop).  The speedup ratio is the
         # machine-independent comparison: both numbers are measured against
         # the identical interleaved seed baseline, so it cancels out how
         # fast the measuring machine happens to be.
@@ -292,19 +279,10 @@ def run_engine_bench(
 
 # ------------------------------------------------------------------- floors
 def check_floors(report: dict, floors: Optional[dict] = None) -> list[str]:
-    """Pinned-floor assertions; returns human-readable violations (empty = ok).
-
-    The floors are per replay engine: a ``scalar`` report is held to
-    ``scalar_speedup_floors`` (the event-at-a-time loop's own regression
-    line), everything else to ``speedup_floors`` (the vector kernel backs
-    the ``auto`` default on every bench shape).
-    """
+    """Pinned-floor assertions; returns human-readable violations (empty = ok)."""
     floors = floors or load_floors()
     violations = []
-    shape_floors = floors.get("speedup_floors", {})
-    if report.get("replay_engine") == "scalar":
-        shape_floors = floors.get("scalar_speedup_floors", shape_floors)
-    for shape, floor in shape_floors.items():
+    for shape, floor in floors.get("scalar_speedup_floors", {}).items():
         row = report["shapes"].get(shape)
         if row is None:
             violations.append(f"{shape}: missing from report")
@@ -327,8 +305,7 @@ def check_floors(report: dict, floors: Optional[dict] = None) -> list[str]:
 def format_report(report: dict) -> str:
     """Human-readable rendering of :func:`run_engine_bench` output."""
     lines = [
-        "[Engine speed] simulated instructions per second, seed vs fast "
-        f"(replay engine: {report.get('replay_engine', 'auto')})",
+        "[Engine speed] simulated instructions per second, seed vs fast",
         "",
         f"{'shape':<12} {'seed ips':>12} {'fast ips':>12} {'speedup':>9}",
     ]

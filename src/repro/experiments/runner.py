@@ -49,7 +49,7 @@ from repro.sim.multicore import (
     normalize_interleave,
 )
 from repro.sim.results import SimulationResult
-from repro.sim.simulator import ENGINES, SystemSimulator
+from repro.sim.simulator import SystemSimulator
 from repro.workloads.capture import TraceArchive
 from repro.workloads.spec import InputSet, WorkloadSpec
 from repro.workloads.spec import resolve_spec as resolve_workload_spec
@@ -85,19 +85,9 @@ class BenchmarkRunner:
     #: decode + front-of-pipe pass per workload instead of per policy);
     #: results are bit-identical either way.
     lockstep: bool = True
-    #: Packed-trace replay engine for solo runs (``"scalar"``, ``"vector"``
-    #: or ``"auto"``; see :class:`~repro.sim.simulator.SystemSimulator`).
-    #: Lockstep replay is always the scalar loop, so ``"vector"`` also
-    #: disables lockstep grouping in :meth:`run_points`.  Results are
-    #: bit-identical for every value; only replay speed changes.
-    engine: str = "auto"
 
     def __post_init__(self) -> None:
         self.config.validate()
-        if self.engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
-            )
         self._prepared: dict[tuple, PreparedWorkload] = {}
         self._traces: dict[tuple, tuple[list[TraceRecord], list[TraceRecord]]] = {}
         self._packed: dict[tuple, tuple[PackedTrace, PackedTrace]] = {}
@@ -264,11 +254,6 @@ class BenchmarkRunner:
         ``tests/test_lockstep.py``).  Store hits are served individually and
         only the missing policies are simulated; fresh results are stored
         under the same keys solo runs use.
-
-        Lockstep replay is always the scalar loop regardless of the runner's
-        ``engine`` knob (the vector kernel replays one hierarchy at a time);
-        callers that want forced-vector replay run points solo instead
-        (:meth:`run_points` already does this when ``engine="vector"``).
         """
         from repro.sim.simulator import run_lockstep
 
@@ -395,7 +380,6 @@ class BenchmarkRunner:
             run_config,
             translator=prepared.mmu(),
             benchmark=prepared.spec.name,
-            engine=self.engine,
         )
 
         tracker: Optional[ReuseDistanceTracker] = None
@@ -454,7 +438,7 @@ class BenchmarkRunner:
         points = [(spec, PolicySpec.of(policy)) for spec, policy in points]
         run_config = config or self.config
         if jobs is None or jobs == 1 or len(points) <= 1:
-            if len(points) <= 1 or not self.lockstep or self.engine == "vector":
+            if len(points) <= 1 or not self.lockstep:
                 return [
                     self.run_resolved(spec, policy, config=run_config).result
                     for spec, policy in points
@@ -504,7 +488,6 @@ class BenchmarkRunner:
                 self.pipeline_options,
                 self.store,
                 self.trace_archive,
-                self.engine,
             ),
             # run_points keeps the all-or-nothing contract of the old bare
             # Pool.map (no retries, stop on first failure) — what it adds is
@@ -592,7 +575,6 @@ def _init_grid_worker(
     pipeline_options: PipelineOptions,
     store: Optional[ResultStore] = None,
     trace_archive: Optional[TraceArchive] = None,
-    engine: str = "auto",
 ) -> None:
     global _GRID_RUNNER
     _GRID_RUNNER = BenchmarkRunner(
@@ -600,7 +582,6 @@ def _init_grid_worker(
         pipeline_options=pipeline_options,
         store=store,
         trace_archive=trace_archive,
-        engine=engine,
     )
 
 

@@ -5,16 +5,12 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from repro.cache.hierarchy import CacheHierarchy
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import SimulationError
 from repro.common.trace import PackedTrace, TraceRecord
 from repro.common.translation import AddressTranslator
 from repro.cpu.core import CoreModel, CoreResult, run_packed_lockstep
-from repro.cpu.vector import run_packed_vector, unbatchable_reason
 from repro.sim.config import SimulatorConfig
 from repro.sim.results import SimulationResult
-
-#: Valid values of the replay-engine knob.
-ENGINES = ("scalar", "vector", "auto")
 
 
 class SystemSimulator:
@@ -30,16 +26,6 @@ class SystemSimulator:
     2. :meth:`run` with the measured window, which resets statistics first
        but keeps cache/predictor state, and returns a
        :class:`~repro.sim.results.SimulationResult`.
-
-    ``engine`` selects the packed-trace replay kernel: ``"scalar"`` is the
-    event-at-a-time reference loop, ``"vector"`` forces the NumPy batch
-    kernel (:mod:`repro.cpu.vector`; raises
-    :class:`~repro.common.errors.ConfigurationError` when the configuration
-    is not batchable), ``"auto"`` (the default) uses the vector kernel
-    whenever the configuration qualifies and falls back to scalar otherwise.
-    Both kernels produce bit-identical results
-    (``tests/test_vector_equivalence.py``), so the knob never changes
-    simulation output — only replay speed.
     """
 
     def __init__(
@@ -47,16 +33,10 @@ class SystemSimulator:
         config: SimulatorConfig,
         translator: Optional[AddressTranslator] = None,
         benchmark: str = "unknown",
-        engine: str = "auto",
     ) -> None:
         config.validate()
-        if engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
         self.config = config
         self.benchmark = benchmark
-        self.engine = engine
         self.hierarchy = CacheHierarchy(config.hierarchy)
         self.core = CoreModel(
             self.hierarchy,
@@ -64,18 +44,12 @@ class SystemSimulator:
             config=config.core,
             line_size=config.hierarchy.line_size,
         )
-        #: Static batchability verdict, computed once (the policy/prefetcher/
-        #: translator wiring never changes after construction).  The dynamic
-        #: condition — an attached ``l2_access_observer`` — is checked per run.
-        self._static_unbatchable = (
-            unbatchable_reason(self.core) if engine != "scalar" else "engine=scalar"
-        )
         self._ran = False
 
     # ------------------------------------------------------------------- API
     def warm_up(self, trace: Iterable[TraceRecord]) -> CoreResult:
         """Run a warm-up window; results are returned but normally discarded."""
-        return self._run_core(trace)
+        return self.core.run(trace)
 
     def run(
         self,
@@ -85,34 +59,11 @@ class SystemSimulator:
         """Run the measured window and package the results."""
         if reset_stats:
             self.hierarchy.reset_stats()
-        core_result = self._run_core(trace)
+        core_result = self.core.run(trace)
         if core_result.instructions == 0:
             raise SimulationError("measured trace window contained no instructions")
         self._ran = True
         return self._package(core_result)
-
-    def _run_core(self, trace: Iterable[TraceRecord]) -> CoreResult:
-        """Replay ``trace`` through the engine the knob selects."""
-        if self.engine == "scalar":
-            return self.core.run(trace)
-        reason = self._replay_unbatchable_reason(trace)
-        if reason is None:
-            return run_packed_vector(self.core, trace)
-        if self.engine == "vector":
-            raise ConfigurationError(
-                f"engine='vector' cannot replay this configuration: {reason}"
-            )
-        return self.core.run(trace)
-
-    def _replay_unbatchable_reason(self, trace) -> Optional[str]:
-        """Why this replay cannot use the vector kernel, or ``None``."""
-        if not isinstance(trace, PackedTrace):
-            return "the trace is a record stream, not a PackedTrace"
-        if self._static_unbatchable is not None:
-            return self._static_unbatchable
-        if self.hierarchy.l2_access_observer is not None:
-            return "an l2_access_observer is attached"
-        return None
 
     def reset(self) -> None:
         """Restore caches, predictors and statistics to the power-on state."""

@@ -12,18 +12,13 @@ cycle), and the names tests care about — :class:`FaultPlan`,
 :func:`fire_point`, :data:`REPRO_FAULTS_ENV`, :func:`corrupt_file` — are
 re-exported here.
 
-It also hosts the **differential-test fixtures** shared by the behavioural
-equivalence suites: the policy × workload matrix
-(:func:`equivalence_policy_names`, :func:`equivalence_matrix`) that both
-``tests/test_flat_equivalence.py`` and the scalar-vs-vector harness
-(``tests/test_vector_equivalence.py``) iterate, and the seeded fuzz-trace
-generators (:func:`fuzz_trace`, :func:`aliasing_trace`) the property tests
-replay through both replay engines.
+It also hosts :func:`equivalence_policy_names`, the policy axis the
+behavioural equivalence suites (``tests/test_flat_equivalence.py`` and the
+packed-vs-record replay harness ``tests/test_vector_equivalence.py``) sweep.
 """
 
 from __future__ import annotations
 
-import random
 from pathlib import Path
 from typing import Optional
 
@@ -45,15 +40,6 @@ from repro.common.faults import (
 )
 from repro.common.request import AccessType, MemoryRequest
 from repro.common.temperature import Temperature
-from repro.common.trace import (
-    FLAG_BRANCH,
-    FLAG_DEPEND,
-    FLAG_ISSUE,
-    FLAG_MEM,
-    FLAG_STORE,
-    FLAG_TAKEN,
-    PackedTrace,
-)
 from repro.experiments.store import ResultStore
 from repro.sim.config import SimulatorConfig
 
@@ -66,16 +52,12 @@ __all__ = [
     "REPRO_FAULTS_ENV",
     "Temperature",
     "active_plan",
-    "aliasing_trace",
     "corrupt_file",
     "damage_store_entry",
     "data_load",
     "data_store",
-    "equivalence_matrix",
     "equivalence_policy_names",
-    "family_trace_pair",
     "fire_point",
-    "fuzz_trace",
     "instruction",
     "make_request",
     "make_session",
@@ -85,7 +67,6 @@ __all__ = [
     "small_lru_cache",
     "small_srrip_cache",
     "wait_until",
-    "workload_family_names",
 ]
 
 
@@ -244,140 +225,10 @@ def equivalence_policy_names() -> tuple[str, ...]:
 
     The shared axis of the behavioural differential suites: the flat-array
     cache vs the object-per-block reference (``tests/test_flat_equivalence``)
-    and the scalar vs vector replay engines
-    (``tests/test_vector_equivalence``) both sweep exactly this list, so a
-    newly registered policy is automatically pulled into every equivalence
-    harness.
+    and packed vs record replay (``tests/test_vector_equivalence``) both sweep
+    exactly this list, so a newly registered policy is automatically pulled
+    into every equivalence harness.
     """
     from repro.cache.replacement.spec import policy_names
 
     return tuple(sorted(policy_names()))
-
-
-def workload_family_names() -> tuple[str, ...]:
-    """Every registered workload family, in catalog order."""
-    from repro.workloads.families import family_names
-
-    return family_names()
-
-
-def equivalence_matrix() -> tuple[tuple[str, str], ...]:
-    """The full (policy, workload family) differential matrix.
-
-    Policy-major, deterministic: one row per registered replacement policy
-    crossed with every registered workload family.
-    """
-    return tuple(
-        (policy, family)
-        for policy in equivalence_policy_names()
-        for family in workload_family_names()
-    )
-
-
-def family_trace_pair(
-    family: str, instructions: int = 4000, warmup: int = 1000
-) -> "tuple[PackedTrace, PackedTrace]":
-    """Small deterministic (warm-up, measured) packed traces for a family.
-
-    Synthesizes the family at a reduced instruction budget through the
-    regular co-design pipeline, so differential tests replay the same
-    instruction streams the experiment harness would — just shorter.  Equal
-    arguments always return equal traces (the generators are seeded).
-    """
-    from repro.experiments.runner import BenchmarkRunner
-    from repro.workloads.families import WorkloadFamilySpec
-
-    spec = WorkloadFamilySpec.of(
-        family, instructions=instructions, warmup=warmup
-    ).synthesize()
-    runner = BenchmarkRunner(config=SimulatorConfig.scaled())
-    prepared = runner._prepare_resolved(spec)
-    return runner.packed_traces(prepared)
-
-
-def fuzz_trace(
-    seed: int,
-    instructions: int = 4000,
-    mem_rate: float = 0.3,
-    branch_every: int = 16,
-    code_lines: int = 128,
-    data_lines: int = 512,
-    alias_sets: int = 0,
-    alias_stride_lines: int = 64,
-    alias_burst: int = 24,
-    stall_rate: float = 0.05,
-) -> PackedTrace:
-    """A seeded adversarial packed trace for engine differential testing.
-
-    Beyond a plain random instruction mix (branches, loads/stores over
-    ``data_lines`` distinct lines, occasional depend/issue stall
-    annotations), the generator periodically emits **same-set aliasing
-    bursts**: ``alias_burst`` consecutive accesses to lines spaced exactly
-    ``alias_stride_lines`` apart, which all map to the same cache set of any
-    level whose set count divides that stride (64 covers the scaled L2/SLC).
-    A burst overflows the set's associativity mid-window, forcing the vector
-    kernel through its fill/eviction correction paths — windows straddling
-    fills, evictions, back-invalidations and exclusive-SLC victim churn.
-
-    ``alias_sets > 0`` enables the bursts and bounds how many distinct alias
-    groups are used; ``mem_rate=0.0`` produces a zero-memory (fetch and
-    branch only) trace.  Equal arguments always build equal traces.
-    """
-    rng = random.Random(seed)
-    packed = PackedTrace()
-    code_base, data_base = 0x10000, 0x800000
-    line = 64
-    total_slots = code_lines * 16
-    burst_left = 0
-    burst_line = 0
-    for i in range(instructions):
-        slot = i % total_slots
-        pc = code_base + slot * 4
-        is_branch = branch_every > 0 and (slot % branch_every) == branch_every - 1
-        taken = is_branch and (slot == total_slots - 1 or rng.random() < 0.15)
-        target = code_base if slot == total_slots - 1 else pc + 8
-        mem = 0
-        flags = (FLAG_BRANCH if is_branch else 0) | (FLAG_TAKEN if taken else 0)
-        if mem_rate > 0 and rng.random() < mem_rate:
-            if burst_left > 0:
-                burst_left -= 1
-                burst_line += alias_stride_lines
-                mem_line = burst_line
-            elif alias_sets > 0 and rng.random() < 0.08:
-                # Start a same-set aliasing burst on one of the alias groups.
-                burst_left = alias_burst
-                burst_line = rng.randrange(alias_sets)
-                mem_line = burst_line
-            else:
-                mem_line = rng.randrange(data_lines)
-            mem = data_base + mem_line * line + rng.randrange(line)
-            flags |= FLAG_MEM
-            if rng.random() < 0.3:
-                flags |= FLAG_STORE
-        depend = issue = 0
-        if stall_rate > 0 and rng.random() < stall_rate:
-            if rng.random() < 0.5:
-                depend = rng.randrange(1, 6)
-                flags |= FLAG_DEPEND
-            else:
-                issue = rng.randrange(1, 6)
-                flags |= FLAG_ISSUE
-        packed.append_raw(
-            pc, 4, flags, target if is_branch else 0, mem, depend, issue
-        )
-    return packed
-
-
-def aliasing_trace(seed: int, instructions: int = 4000) -> PackedTrace:
-    """A fuzz trace dominated by same-set aliasing bursts (see
-    :func:`fuzz_trace`): the adversarial shape for the vector kernel's
-    intra-window residency corrections."""
-    return fuzz_trace(
-        seed,
-        instructions=instructions,
-        mem_rate=0.45,
-        data_lines=192,
-        alias_sets=4,
-        alias_stride_lines=64,
-        alias_burst=40,
-    )

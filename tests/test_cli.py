@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -251,7 +255,7 @@ class TestBench:
         even on a noisy test machine; a real hot-path regression (orders of
         magnitude, not percent) would exit non-zero here.
         """
-        import json
+        from repro.experiments.bench import load_floors
 
         output = tmp_path / "bench-report.json"
         assert (
@@ -280,6 +284,49 @@ class TestBench:
         }
         for row in report["shapes"].values():
             assert row["fast_ips"] > row["seed_ips"]
+        # One replay loop, one floor set, covering every bench shape.
+        floors = load_floors()
+        assert [key for key in floors if key.endswith("speedup_floors")] == [
+            "scalar_speedup_floors"
+        ]
+        assert set(floors["scalar_speedup_floors"]) == set(report["shapes"])
+
+
+class TestWithoutNumPy:
+    """NumPy is optional: only Figure 7's coverage ranking imports it."""
+
+    @staticmethod
+    def run_blocked(*argv: str) -> subprocess.CompletedProcess:
+        """``repro <argv>`` in a fresh interpreter where ``import numpy``
+        fails (a ``None`` entry in ``sys.modules`` blocks the import)."""
+        src_dir = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src_dir)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        code = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from repro.cli.main import main\n"
+            f"sys.exit(main({list(argv)!r}))\n"
+        )
+        return subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+
+    def test_tiny_run_needs_no_numpy(self):
+        done = self.run_blocked("run", "table3", "--tiny", "--no-cache")
+        assert done.returncode == 0, done.stderr
+        assert "Table 3" in done.stdout
+
+    def test_figure7_names_numpy_when_missing(self):
+        done = self.run_blocked("run", "figure7", "--tiny", "--no-cache")
+        assert done.returncode == 1
+        assert "NumPy" in done.stderr
 
 
 class TestReport:

@@ -210,3 +210,32 @@ class TestSystemSimulator:
             )
         assert results[0].cycles == results[1].cycles
         assert results[0].l2_inst_misses == results[1].l2_inst_misses
+
+    def test_mmu_fills_leave_temperature_tagged_lines(self):
+        """Under the co-design MMU, fills of tagged code pages write the
+        page temperature into the caches' per-line metadata."""
+        from repro.experiments.runner import BenchmarkRunner
+        from repro.workloads.families import WorkloadFamilySpec
+
+        spec = WorkloadFamilySpec.of(
+            "phased", instructions=4000, warmup=1000
+        ).synthesize()
+        runner = BenchmarkRunner(
+            config=SimulatorConfig.scaled().with_l2_policy("srrip")
+        )
+        prepared = runner._prepare_resolved(spec)
+        warmup, measured = runner.packed_traces(prepared)
+        simulator = SystemSimulator(
+            runner.config, translator=prepared.mmu(), benchmark="phased"
+        )
+        simulator.warm_up(warmup)
+        simulator.run(measured)
+
+        hierarchy = simulator.hierarchy
+        tagged = [
+            temperature
+            for cache in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2, hierarchy.slc)
+            for temperature in cache._temps
+            if temperature.is_tagged
+        ]
+        assert tagged, "expected temperature-tagged lines under the co-design MMU"

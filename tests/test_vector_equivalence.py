@@ -1,20 +1,16 @@
-"""Scalar vs vector replay engines: the bit-identity differential harness.
+"""Packed vs record replay: the bit-identity differential harness.
 
-The NumPy batch kernel (:mod:`repro.cpu.vector`) replays packed traces in
-windows — batched tag probes against per-window snapshots, then an ordered
-apply pass — while the scalar loop
-(:meth:`repro.cpu.core.CoreModel.run_packed`) walks one event at a time.
-The two must be **bit-identical**: same :class:`SimulationResult` (cycles,
-Top-Down floats, MPKI, per-line stall dicts), same cache columns, same
-residency dicts, same replacement-policy state, same RNG state.
+The core replays a :class:`~repro.common.trace.PackedTrace` through its
+column-oriented hot loop (:meth:`repro.cpu.core.CoreModel.run_packed`) and
+a plain record stream through the record-at-a-time loop.  The two must be
+**bit-identical**: same :class:`SimulationResult` (cycles, Top-Down floats,
+MPKI, per-line stall dicts), same cache columns, same residency dicts, same
+replacement-policy state, same RNG state.
 
-This suite pins that property over the shared policy × workload-family
-matrix from :mod:`repro.testing` (every registered replacement policy
-crossed with every registered workload family), for the scalar, auto and —
-where the configuration is batchable — forced-vector engines, and across
-degenerate window sizes (1, a prime, the whole trace in one window).
-Policies the kernel cannot batch (request-aware ones) must fall back
-cleanly under ``engine="auto"`` and refuse loudly under ``engine="vector"``.
+This suite pins that property over the full policy × workload-family matrix
+(every registered replacement policy crossed with every registered workload
+family), each pair replayed through the regular co-design pipeline at a
+reduced instruction budget.
 """
 
 from __future__ import annotations
@@ -24,20 +20,20 @@ from array import array
 
 import pytest
 
-from repro.common.errors import ConfigurationError
-from repro.cpu.vector import (
-    DEFAULT_WINDOW,
-    numpy_available,
-    run_packed_vector,
-    unbatchable_reason,
-)
 from repro.sim.config import SimulatorConfig
 from repro.sim.simulator import SystemSimulator
-from repro.testing import equivalence_matrix, family_trace_pair
+from repro.testing import equivalence_policy_names
+from repro.workloads.families import family_names
 
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="the vector kernel requires NumPy"
-)
+
+def equivalence_matrix() -> tuple[tuple[str, str], ...]:
+    """Policy-major (policy, workload family) rows, in deterministic order."""
+    return tuple(
+        (policy, family)
+        for policy in equivalence_policy_names()
+        for family in family_names()
+    )
+
 
 #: Cached per-family (warm-up, measured) trace pairs: generated once per
 #: test session, shared by every policy row of the matrix.
@@ -45,8 +41,17 @@ _TRACES: dict[str, tuple] = {}
 
 
 def traces_for(family: str):
+    """Small deterministic (warm-up, measured) packed traces for a family."""
     if family not in _TRACES:
-        _TRACES[family] = family_trace_pair(family)
+        from repro.experiments.runner import BenchmarkRunner
+        from repro.workloads.families import WorkloadFamilySpec
+
+        spec = WorkloadFamilySpec.of(
+            family, instructions=4000, warmup=1000
+        ).synthesize()
+        runner = BenchmarkRunner(config=SimulatorConfig.scaled())
+        prepared = runner._prepare_resolved(spec)
+        _TRACES[family] = runner.packed_traces(prepared)
     return _TRACES[family]
 
 
@@ -87,11 +92,6 @@ def _canonical(value, seen=None):
     )
 
 
-def policy_state(policy) -> dict:
-    """A comparable snapshot of one replacement policy's mutable state."""
-    return _canonical(policy)
-
-
 def hierarchy_state(hierarchy) -> dict:
     """Full comparable snapshot of the memory system's mutable state."""
     state = {}
@@ -109,18 +109,18 @@ def hierarchy_state(hierarchy) -> dict:
             "temps": list(cache._temps),
             "pcs": list(cache._pcs),
             "line_map": dict(cache._line_map),
-            "policy": policy_state(cache.policy),
+            "policy": _canonical(cache.policy),
         }
     return state
 
 
-def run_engine(policy: str, family: str, engine: str):
+def replay(policy: str, family: str, packed: bool):
     """One warm-up + measured replay; returns (result, end state)."""
     warmup, measured = traces_for(family)
+    if not packed:
+        warmup, measured = list(warmup), list(measured)
     simulator = SystemSimulator(
-        SimulatorConfig.scaled().with_l2_policy(policy),
-        benchmark=family,
-        engine=engine,
+        SimulatorConfig.scaled().with_l2_policy(policy), benchmark=family
     )
     simulator.warm_up(warmup)
     result = simulator.run(measured)
@@ -133,162 +133,14 @@ def run_engine(policy: str, family: str, engine: str):
     ids=[f"{p}-{f}" for p, f in equivalence_matrix()],
 )
 def test_engines_bit_identical(policy, family):
-    """scalar == auto (== forced vector, when batchable) on the full matrix.
+    """packed loop == record loop on the full matrix.
 
     The comparison is exact: dataclass equality on the packaged result
     (covering the float Top-Down accumulators and the per-line stall dicts
     bit for bit) plus deep equality of every cache column, residency dict
     and policy state after the run.
     """
-    scalar_result, scalar_state = run_engine(policy, family, "scalar")
-    auto_result, auto_state = run_engine(policy, family, "auto")
-    assert scalar_result == auto_result
-    assert scalar_state == auto_state
-
-    probe = SystemSimulator(
-        SimulatorConfig.scaled().with_l2_policy(policy), benchmark=family
-    )
-    if unbatchable_reason(probe.core) is None:
-        vector_result, vector_state = run_engine(policy, family, "vector")
-        assert scalar_result == vector_result
-        assert scalar_state == vector_state
-    else:
-        # Request-aware configurations must refuse a forced vector engine
-        # (auto already proved it falls back to the scalar loop above).
-        forced = SystemSimulator(
-            SimulatorConfig.scaled().with_l2_policy(policy),
-            benchmark=family,
-            engine="vector",
-        )
-        warmup, _ = traces_for(family)
-        with pytest.raises(ConfigurationError):
-            forced.warm_up(warmup)
-
-
-@pytest.mark.parametrize("policy", ["lru", "srrip", "brrip", "fifo", "random"])
-@pytest.mark.parametrize("family", ["zipf", "streaming"])
-def test_window_size_invariance(policy, family):
-    """The window is a pure batching knob: 1, a prime, len(trace), and the
-    default all replay bit-identically to the scalar loop."""
-    warmup, measured = traces_for(family)
-    scalar = SystemSimulator(
-        SimulatorConfig.scaled().with_l2_policy(policy),
-        benchmark=family,
-        engine="scalar",
-    )
-    scalar.warm_up(warmup)
-    scalar_result = scalar.run(measured)
-    scalar_state = hierarchy_state(scalar.hierarchy)
-
-    event_count = len(measured.fetch_events(64)[0])
-    for window in (1, 257, max(event_count, 1), DEFAULT_WINDOW):
-        simulator = SystemSimulator(
-            SimulatorConfig.scaled().with_l2_policy(policy),
-            benchmark=family,
-            engine="vector",
-        )
-        run_packed_vector(simulator.core, warmup, window=window)
-        simulator.hierarchy.reset_stats()
-        core_result = run_packed_vector(simulator.core, measured, window=window)
-        result = simulator.package(core_result)
-        assert result == scalar_result, f"window={window}"
-        assert hierarchy_state(simulator.hierarchy) == scalar_state, (
-            f"window={window}"
-        )
-
-
-def test_vector_engine_requires_packed_trace():
-    """Record streams cannot be windowed; engine='vector' says so."""
-    warmup, _ = traces_for("zipf")
-    simulator = SystemSimulator(
-        SimulatorConfig.scaled().with_l2_policy("lru"), engine="vector"
-    )
-    with pytest.raises(ConfigurationError, match="record stream"):
-        simulator.warm_up(list(warmup))
-
-
-def test_auto_falls_back_for_record_streams():
-    """engine='auto' replays record streams through the scalar loop."""
-    warmup, measured = traces_for("zipf")
-    packed = SystemSimulator(
-        SimulatorConfig.scaled().with_l2_policy("lru"), engine="auto"
-    )
-    packed.warm_up(warmup)
-    expected = packed.run(measured)
-
-    records = SystemSimulator(
-        SimulatorConfig.scaled().with_l2_policy("lru"), engine="auto"
-    )
-    records.warm_up(list(warmup))
-    assert records.run(list(measured)) == expected
-
-
-@pytest.mark.parametrize("policy", ["lru", "srrip", "random", "brrip", "fifo"])
-def test_mmu_pipeline_bit_identical(policy):
-    """The full co-design pipeline — MMU translation with demand paging and
-    temperature-tagged code pages — replays bit-identically on the vector
-    engine, end to end through the experiment runner."""
-    from repro.experiments.runner import BenchmarkRunner
-    from repro.workloads.families import WorkloadFamilySpec
-
-    results = {}
-    for engine in ("scalar", "vector"):
-        spec = WorkloadFamilySpec.of(
-            "zipf", instructions=4000, warmup=1000
-        ).synthesize()
-        runner = BenchmarkRunner(
-            config=SimulatorConfig.scaled(), engine=engine
-        )
-        results[engine] = runner.run(spec, policy).result
-    assert results["scalar"] == results["vector"]
-
-
-def test_mmu_deep_state_identical():
-    """Under MMU translation the entire memory-system state — including the
-    per-line temperature metadata written by fills of tagged code pages —
-    matches between engines after a run."""
-    from repro.experiments.runner import BenchmarkRunner
-    from repro.workloads.families import WorkloadFamilySpec
-
-    results, states = {}, {}
-    for engine in ("scalar", "vector"):
-        spec = WorkloadFamilySpec.of(
-            "phased", instructions=4000, warmup=1000
-        ).synthesize()
-        runner = BenchmarkRunner(
-            config=SimulatorConfig.scaled().with_l2_policy("srrip"),
-            engine=engine,
-        )
-        prepared = runner._prepare_resolved(spec)
-        warm, measured = runner.packed_traces(prepared)
-        simulator = SystemSimulator(
-            runner.config,
-            translator=prepared.mmu(),
-            benchmark="phased",
-            engine=engine,
-        )
-        simulator.warm_up(warm)
-        results[engine] = simulator.run(measured)
-        states[engine] = hierarchy_state(simulator.hierarchy)
-    assert results["scalar"] == results["vector"]
-    assert states["scalar"] == states["vector"]
-
-    tagged = [
-        temp
-        for cache_state in states["vector"].values()
-        for temp in cache_state["temps"]
-        if getattr(temp, "is_tagged", False)
-    ]
-    assert tagged, "expected temperature-tagged lines under the co-design MMU"
-
-
-def test_observer_forces_scalar_fallback():
-    """An attached l2_access_observer is a per-run unbatchable condition."""
-    warmup, measured = traces_for("zipf")
-    simulator = SystemSimulator(
-        SimulatorConfig.scaled().with_l2_policy("lru"), engine="vector"
-    )
-    simulator.warm_up(warmup)
-    simulator.hierarchy.l2_access_observer = lambda *args: None
-    with pytest.raises(ConfigurationError, match="observer"):
-        simulator.run(measured)
+    packed_result, packed_state = replay(policy, family, packed=True)
+    record_result, record_state = replay(policy, family, packed=False)
+    assert packed_result == record_result
+    assert packed_state == record_state
