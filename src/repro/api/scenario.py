@@ -101,6 +101,17 @@ class RunRequest:
             return "+".join(spec.name for spec in self.cores)
         return self.spec.name
 
+    def store_key(self) -> str:
+        """The result-store key this point is cached under."""
+        from repro.experiments.store import multicore_run_key, run_key
+
+        config = self.config.with_l2_policy(self.policy)
+        if self.cores:
+            return multicore_run_key(
+                self.cores, self.policy, config, self.options, self.interleave
+            )
+        return run_key(self.spec, self.policy, config, self.options)
+
     def key(self) -> tuple:
         """Hashable dedup/equality coordinate of this point.
 

@@ -10,7 +10,7 @@ results:
    :class:`~repro.api.scenario.RunPlan` (free: no simulation happens);
 2. :meth:`Session.execute` runs the plan's unique points through the
    store-aware :class:`~repro.experiments.runner.BenchmarkRunner` engine —
-   serially, or fanned out over worker processes when the plan is uniform —
+   in-process, or as workload-affine tasks on a supervised worker pool —
    and fans results back out to every requested point;
 3. :meth:`Session.stream` / :meth:`Session.run` wrap both for the common
    call shapes.
@@ -46,7 +46,7 @@ from repro.workloads.spec import PROXY_BENCHMARK_NAMES
 
 if TYPE_CHECKING:  # engine types; imported lazily at runtime (see below)
     from repro.experiments.runner import BenchmarkRunner, RunArtifacts
-    from repro.experiments.store import ResultStore
+    from repro.experiments.store import ResultStore, StoredRun
     from repro.experiments.sweep import PolicySweepResult
 
 # The engine lives in repro.experiments, whose experiment modules import
@@ -70,15 +70,15 @@ class Session:
         self.config.validate()
         self.store = store
         self.options = options or PipelineOptions()
-        #: Default worker count for plan execution (``None``/1 = serial,
-        #: 0 = all cores); per-call ``jobs`` arguments override it.
+        #: Default worker count for plan execution (``None``/1 = in-process,
+        #: 0 = every usable CPU); per-call ``jobs`` arguments override it.
         self.jobs = jobs
         #: Optional trace capture/replay archive shared by every engine this
         #: session creates (a directory path is coerced to an archive).
         if traces is not None and not isinstance(traces, TraceArchive):
             traces = TraceArchive(traces)
         self.traces = traces
-        #: When executing a plan serially, runs that share (workload, config,
+        #: When executing a plan, runs that share (workload, config,
         #: pipeline options) and differ only in their L2 policy advance
         #: through one lockstep replay instead of N independent ones
         #: (bit-identical results; see
@@ -112,6 +112,7 @@ class Session:
                 options=runner.pipeline_options,
                 jobs=jobs,
                 traces=runner.trace_archive,
+                lockstep=runner.lockstep,
             )
             session._runners[
                 session._runner_key(runner.config, runner.pipeline_options)
@@ -143,6 +144,7 @@ class Session:
                 pipeline_options=run_options,
                 store=self.store,
                 trace_archive=self.traces,
+                lockstep=self.lockstep,
             )
             self._runners[key] = runner
         return runner
@@ -165,8 +167,28 @@ class Session:
     def execute(
         self, plan: RunPlan, jobs: Optional[int] = None
     ) -> list[RunArtifacts]:
-        """Execute a plan; results align 1:1 with ``plan.requests``."""
-        unique = self._execute_unique(plan, jobs)
+        """Execute a plan; results align 1:1 with ``plan.requests``.
+
+        ``jobs`` (default: the session's) caps the worker processes; see
+        :meth:`_execute_requests`.
+        """
+        from repro.experiments.runner import RunArtifacts
+
+        runs = self._execute_requests(plan.unique, jobs)
+        unique = [
+            run
+            if isinstance(run, RunArtifacts)
+            # Re-prepare locally (cheap, deterministic, runner-cached) so
+            # pooled artifacts look exactly like store-served ones.
+            else RunArtifacts(
+                result=run.result,
+                prepared=self.runner_for(
+                    request.config, request.options
+                )._prepare_resolved(request.spec, request.options),
+                reuse=run.reuse_tracker(),
+            )
+            for request, run in zip(plan.unique, runs)
+        ]
         return [unique[index] for index in plan.indices]
 
     def run(
@@ -180,13 +202,13 @@ class Session:
     ) -> Iterator[tuple[RunRequest, RunArtifacts]]:
         """Yield ``(request, artifacts)`` pairs in deterministic plan order.
 
-        With parallel execution the whole plan completes first; serially,
-        each point is yielded as soon as it (or its deduplicated original)
-        finishes.
+        With ``jobs`` other than 1 the plan goes through :meth:`execute`
+        and completes first; with one job, each point is yielded as soon as
+        it (or its deduplicated original) finishes.
         """
         plan = self.plan(*scenarios)
         jobs = self.jobs if jobs is None else jobs
-        if jobs is not None and jobs != 1:  # 0 = all cores, like the engine
+        if jobs is not None and jobs != 1:
             yield from zip(plan.requests, self.execute(plan, jobs=jobs))
             return
         done: dict[int, RunArtifacts] = {}
@@ -212,94 +234,157 @@ class Session:
             track_reuse=request.track_reuse,
         )
 
-    def _execute_unique(
-        self, plan: RunPlan, jobs: Optional[int]
-    ) -> list[RunArtifacts]:
-        unique = plan.unique
-        jobs = self.jobs if jobs is None else jobs
-        if jobs is not None and jobs != 1 and len(unique) > 1:
-            uniform = (
-                not any(request.track_reuse for request in unique)
-                # Multi-core points run solo-serial: each one already owns
-                # its cores' replay, and serial/pool parity is trivially
-                # deterministic because the pool path never touches them.
-                and not any(request.is_multicore for request in unique)
-                and len(
-                    {
-                        self._runner_key(request.config, request.options)
-                        for request in unique
-                    }
-                )
-                == 1
-            )
-            if uniform:
-                from repro.experiments.runner import RunArtifacts
+    def _execute_requests(
+        self, requests: Sequence[RunRequest], jobs: Optional[int] = None
+    ) -> list[RunArtifacts | StoredRun]:
+        """Run resolved requests (no dedup), results in request order.
 
-                runner = self.runner_for(unique[0].config, unique[0].options)
-                # Hand each worker a contiguous same-workload stretch so its
-                # process-level prepare/trace caches amortise across points.
-                chunk = 1
-                while chunk < len(unique) and unique[chunk].spec == unique[0].spec:
-                    chunk += 1
-                results = runner.run_points(
-                    [(request.spec, request.policy) for request in unique],
-                    jobs=jobs,
-                    chunksize=chunk,
-                )
-                # Re-prepare locally (cheap, deterministic, runner-cached) so
-                # parallel artifacts look exactly like store-served ones.
-                return [
-                    RunArtifacts(
-                        result=result,
-                        prepared=runner._prepare_resolved(
-                            request.spec, request.options
-                        ),
-                    )
-                    for request, result in zip(unique, results)
-                ]
-        return self._execute_serial(unique)
-
-    def _execute_serial(self, unique: list[RunRequest]) -> list[RunArtifacts]:
-        """Serial plan execution with lockstep multi-policy grouping.
-
-        Unique requests that share (workload, config, pipeline options) and
-        differ only in their L2 policy — the shape of every figure sweep —
-        are replayed in lockstep: the trace is decoded once and the N
-        hierarchies advance together.  Reuse-tracking points always run
-        solo (the L2 observer hooks one hierarchy at a time).  Results are
-        bit-identical to point-by-point execution for any grouping.
+        The one executor behind :meth:`execute` (so :meth:`run`, and
+        :meth:`stream` with more than one job) and :meth:`sweep` (through
+        :meth:`~repro.experiments.runner.BenchmarkRunner.run_points`).
+        Requests are split into units (:meth:`_units`); the units with a
+        point missing from the store are merged into workload-affine tasks
+        (:meth:`_tasks`) that run on a
+        :class:`~repro.experiments.supervisor.SupervisedPool` through the
+        same :meth:`_run_unit` code as the in-process path.  ``jobs``
+        (default: the session's) is the worker count — ``None``/1 runs
+        everything in-process, 0 uses every usable CPU — capped by the
+        number of tasks; with fewer than two workers nothing forks, so a
+        fully stored plan never does.  In-process points come back as
+        ``RunArtifacts``, pooled ones as ``StoredRun``; both carry
+        ``.result``, bit-identical for every ``jobs`` value.
         """
-        if not self.lockstep:
-            return [self._run_request(request) for request in unique]
-        groups: dict[tuple, list[int]] = {}
-        for index, request in enumerate(unique):
-            if request.track_reuse or request.is_multicore:
-                group_key = ("solo", index)
-            else:
-                group_key = (
-                    "lockstep",
+        from repro.experiments.supervisor import (
+            SupervisedPool,
+            SupervisionPolicy,
+            worker_count,
+        )
+
+        jobs = self.jobs if jobs is None else jobs
+        units = self._units(requests)
+        tasks = []
+        if jobs not in (None, 1) and len(units) > 1:
+            tasks = self._tasks(requests, units)
+        workers = worker_count(jobs, len(tasks))
+        if workers < 2:
+            tasks = []
+        pooled = {position for task in tasks for position in task}
+        runs: list = [None] * len(requests)
+        for position, unit in enumerate(units):
+            if position not in pooled:
+                done = self._run_unit([requests[index] for index in unit])
+                for index, run in zip(unit, done):
+                    runs[index] = run
+        if not tasks:
+            return runs
+        pool = SupervisedPool(
+            _run_task,
+            workers=workers,
+            initializer=_init_task_worker,
+            initargs=(
+                self.config,
+                self.store,
+                self.options,
+                self.traces,
+                self.lockstep,
+            ),
+            # All or nothing, like a bare Pool.map (no retries, stop on the
+            # first failure), with supervised teardown: a crash or a
+            # KeyboardInterrupt terminates and joins every child.
+            policy=SupervisionPolicy(max_retries=0, keep_going=False),
+        )
+        payloads = [
+            [[requests[index] for index in units[position]] for position in task]
+            for task in tasks
+        ]
+        try:
+            report = pool.run(payloads)
+        finally:
+            # Worker counters die with the pool; fold back every completed
+            # task, even when the run was interrupted, so the store and
+            # archive stats reflect the work that landed durably.
+            for outcome in pool.outcomes:
+                if outcome.status == "done":
+                    self.runner.fold_worker_counters(*outcome.value[1:])
+        report.raise_on_failure()
+        for task, outcome in zip(tasks, report.outcomes):
+            for position, done in zip(task, outcome.value[0]):
+                for index, run in zip(units[position], done):
+                    runs[index] = run
+        return runs
+
+    def _units(self, requests: Sequence[RunRequest]) -> list[list[int]]:
+        """Request positions grouped into execution units.
+
+        Requests that share (workload, config, pipeline options) and differ
+        only in their L2 policy — the shape of every figure sweep — form
+        one lockstep unit: the trace is decoded once and the N hierarchies
+        advance together.  Reuse-tracking points (the L2 observer hooks one
+        hierarchy at a time) and multi-core co-runs are units of their own.
+        Results are bit-identical to point-by-point execution for any
+        grouping.
+        """
+        units: dict[tuple, list[int]] = {}
+        for index, request in enumerate(requests):
+            solo = request.track_reuse or request.is_multicore
+            if self.lockstep and not solo:
+                key = (
                     request.spec,
                     request.config.content_hash(),
                     request.options.cache_key(),
                 )
-            groups.setdefault(group_key, []).append(index)
-        results: list[Optional[RunArtifacts]] = [None] * len(unique)
-        for group_key, indices in groups.items():
-            if group_key[0] == "solo" or len(indices) == 1:
-                for index in indices:
-                    results[index] = self._run_request(unique[index])
+            else:
+                key = ("solo", index)
+            units.setdefault(key, []).append(index)
+        return list(units.values())
+
+    def _tasks(
+        self, requests: Sequence[RunRequest], units: list[list[int]]
+    ) -> list[list[int]]:
+        """Unit positions merged into workload-affine tasks.
+
+        Only units with a point the store cannot serve are pending; a
+        pending unit joins every task that touches one of its workloads
+        (spec and pipeline options; all cores of a co-run), so one process
+        prepares and traces each workload, whatever the scheduling.  Larger
+        tasks go first.  The store probe counts neither hits nor misses:
+        the unit's own run counts them once.
+        """
+        tasks: list[tuple[set, list[int]]] = []
+        for position, unit in enumerate(units):
+            if self.store is not None and all(
+                self.store.holds(
+                    requests[index].store_key(), requests[index].track_reuse
+                )
+                for index in unit
+            ):
                 continue
-            first = unique[indices[0]]
-            runner = self.runner_for(first.config, first.options)
-            artifacts = runner.run_lockstep_resolved(
-                first.spec,
-                [unique[index].policy for index in indices],
-                options=first.options,
-                config=first.config,
-            )
-            for index, artifact in zip(indices, artifacts):
-                results[index] = artifact
-        return results
+            first = requests[unit[0]]
+            workloads = {
+                (spec, first.options.cache_key())
+                for spec in first.cores or (first.spec,)
+            }
+            touching = [task for task in tasks if task[0] & workloads]
+            tasks = [task for task in tasks if not task[0] & workloads]
+            workloads = workloads.union(*(touched for touched, _ in touching))
+            members = sorted([position, *(m for _, ms in touching for m in ms)])
+            tasks.append((workloads, members))
+        return sorted(
+            (members for _, members in tasks),
+            key=lambda members: -sum(len(units[p]) for p in members),
+        )
+
+    def _run_unit(self, unit: Sequence[RunRequest]) -> list[RunArtifacts]:
+        """Run one unit in this process: the in-process and worker path."""
+        first = unit[0]
+        if len(unit) == 1:
+            return [self._run_request(first)]
+        return self.runner_for(first.config, first.options).run_lockstep_resolved(
+            first.spec,
+            [request.policy for request in unit],
+            options=first.options,
+            config=first.config,
+        )
 
     # ---------------------------------------------------------- conveniences
     def run_one(
@@ -407,3 +492,45 @@ class Session:
             supervision=supervision,
             resume=resume,
         )
+
+
+#: Per-worker-process session, built once by the pool initializer so a
+#: worker running several tasks reuses its engines.
+_TASK_SESSION: Optional[Session] = None
+
+
+def _init_task_worker(config, store, options, traces, lockstep) -> None:
+    global _TASK_SESSION
+    _TASK_SESSION = Session(
+        config=config,
+        store=store,
+        options=options,
+        traces=traces,
+        lockstep=lockstep,
+    )
+
+
+def _run_task(units: list[list[RunRequest]], attempt: int = 1) -> tuple:
+    """(per-unit ``StoredRun`` lists, simulations executed, store counter
+    deltas, trace-archive counter deltas) of one task in a pool worker."""
+    from repro.experiments.runner import _counter_delta, _counter_state
+    from repro.experiments.store import StoredRun
+
+    session = _TASK_SESSION
+    assert session is not None, "worker initializer did not run"
+    store_before = _counter_state(session.store)
+    trace_before = _counter_state(session.traces)
+    simulated_before = session.simulations_run
+    runs = [
+        [
+            StoredRun.from_tracker(run.result, run.reuse)
+            for run in session._run_unit(unit)
+        ]
+        for unit in units
+    ]
+    return (
+        runs,
+        session.simulations_run - simulated_before,
+        _counter_delta(store_before, _counter_state(session.store)),
+        _counter_delta(trace_before, _counter_state(session.traces)),
+    )

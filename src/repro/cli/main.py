@@ -70,7 +70,9 @@ def _add_cache_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_run_options(parser: argparse.ArgumentParser) -> None:
+def _add_run_options(
+    parser: argparse.ArgumentParser, jobs_default: Optional[int], jobs_help: str
+) -> None:
     parser.add_argument(
         "--config",
         choices=sorted(NAMED_CONFIGS),
@@ -119,9 +121,9 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=None,
+        default=jobs_default,
         metavar="N",
-        help="worker processes for grid sweeps (0 = all cores; default: serial)",
+        help=jobs_help,
     )
     parser.add_argument(
         "--policy",
@@ -182,7 +184,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="EXPERIMENT",
         help="an experiment name from `repro list` (e.g. figure3, table3)",
     )
-    _add_run_options(run_parser)
+    _add_run_options(
+        run_parser,
+        jobs_default=0,
+        jobs_help="worker processes (default: 0 = every usable CPU, capped by "
+        "the tasks left to simulate; a fully stored plan never forks); 1 "
+        "runs in-process",
+    )
 
     sweep_parser = sub.add_parser(
         "sweep", help="run a (benchmark x policy) grid against the baseline"
@@ -194,7 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated policy list (default: the paper's evaluated "
         "policies)",
     )
-    _add_run_options(sweep_parser)
+    _add_run_options(
+        sweep_parser,
+        jobs_default=None,
+        jobs_help="supervised worker processes (0 = every usable CPU; "
+        "default: 1)",
+    )
     fault_group = sweep_parser.add_argument_group(
         "fault tolerance",
         "sweeps are checkpointed: every finished unit is durable in the "
@@ -628,18 +641,22 @@ def _make_traces(args) -> Optional[TraceArchive]:
 
 
 def _make_context(args) -> ExperimentContext:
+    if args.jobs is not None and args.jobs < 0:
+        raise ConfigurationError(
+            f"--jobs must be >= 0 (0 = every usable CPU), got {args.jobs}"
+        )
     config = NAMED_CONFIGS[args.config]()
     session = Session(
         config=config,
         store=_make_store(args),
         traces=_make_traces(args),
+        jobs=args.jobs,
     )
     return ExperimentContext(
         config=config,
         session=session,
         benchmarks=_parse_benchmarks(args),
         policies=_parse_policies(args),
-        jobs=args.jobs,
         cores=_parse_cores(args),
         interleave=_parse_interleave(args),
     )
@@ -775,12 +792,6 @@ def _cmd_run(args) -> int:
         print(f"repro run: {error.args[0]}", file=sys.stderr)
         return 1
     ctx = _make_context(args)
-    if args.jobs and not experiment.supports_jobs:
-        print(
-            f"repro run: note: {experiment.name} does not parallelise; "
-            "--jobs ignored",
-            file=sys.stderr,
-        )
     if ctx.policies and not experiment.supports_policies:
         print(
             f"repro run: note: {experiment.name} reproduces a fixed policy "
@@ -829,9 +840,7 @@ def _cmd_sweep(args) -> int:
         # --no-cache: nothing durable to checkpoint against, so run the
         # plain in-memory sweep (failures raise, nothing resumes).
         sweep = ctx.session.sweep(
-            benchmarks=ctx.benchmarks,
-            policies=ctx.policies,
-            jobs=ctx.jobs,
+            benchmarks=ctx.benchmarks, policies=ctx.policies
         )
         print(_render_sweep(sweep))
         print(_cache_summary(ctx))
@@ -839,7 +848,6 @@ def _cmd_sweep(args) -> int:
     checkpointed = ctx.session.sweep_checkpointed(
         benchmarks=ctx.benchmarks,
         policies=ctx.policies,
-        jobs=ctx.jobs,
         supervision=SupervisionPolicy(
             max_retries=args.max_retries,
             unit_timeout=args.unit_timeout,

@@ -39,7 +39,7 @@ class ExperimentContext:
     normalised to :class:`~repro.cache.replacement.spec.PolicySpec`.  All
     execution flows through one :class:`~repro.api.session.Session` —
     adapters hand it to the experiment modules, so every simulation shares
-    the session's engines and result store.
+    the session's engines, result store and worker count.
     """
 
     config: SimulatorConfig = field(default_factory=SimulatorConfig.default)
@@ -47,7 +47,6 @@ class ExperimentContext:
     runner: Optional[BenchmarkRunner] = None  #: legacy handle; adopted if given
     benchmarks: Optional[Sequence[str | WorkloadSpec]] = None
     policies: Optional[Sequence[str | PolicySpec]] = None
-    jobs: Optional[int] = None
     #: Multi-core experiments (``repro run interference --core ...``): one
     #: workload token/spec per core, plus the optional interleave quanta.
     #: ``None`` lets the experiment pick its default co-run pair.
@@ -96,8 +95,6 @@ class Experiment:
     #: Whether the experiment performs timing simulations (and therefore
     #: benefits from the result store).  Static tables do not.
     simulates: bool = True
-    #: Whether the adapter forwards ``ctx.jobs`` into a parallel sweep.
-    supports_jobs: bool = False
     #: Whether the adapter forwards ``ctx.policies`` (CLI ``--policy``) into
     #: the experiment; fixed-policy artifacts ignore the flag and warn.
     supports_policies: bool = False
@@ -192,10 +189,8 @@ register(
             benchmarks=ctx.benchmarks,
             policies=ctx.policies,
             session=ctx.session,
-            jobs=ctx.jobs,
         ),
         format=figure6.format_figure6,
-        supports_jobs=True,
         supports_policies=True,
     )
 )
@@ -208,10 +203,8 @@ register(
             benchmarks=ctx.benchmarks,
             policies=ctx.policies,
             session=ctx.session,
-            jobs=ctx.jobs,
         ),
         format=table3.format_table3,
-        supports_jobs=True,
         supports_policies=True,
     )
 )
@@ -231,10 +224,9 @@ register(
         artifact="Figure 7",
         description="coverage of costly instruction misses by the hot section",
         run=lambda ctx: figure7.run_figure7(
-            benchmarks=ctx.benchmarks, session=ctx.session, jobs=ctx.jobs
+            benchmarks=ctx.benchmarks, session=ctx.session
         ),
         format=figure7.format_figure7,
-        supports_jobs=True,
     )
 )
 register(
@@ -281,10 +273,8 @@ register(
             interleave=ctx.interleave,
             benchmarks=ctx.benchmarks,
             session=ctx.session,
-            jobs=ctx.jobs,
         ),
         format=interference.format_interference,
-        supports_jobs=True,
         supports_policies=True,
     )
 )

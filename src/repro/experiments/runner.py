@@ -9,10 +9,11 @@ generation once per benchmark.  Traces are materialised in the packed
 column-oriented format and replayed through the fast engine; the results are
 bit-identical to record-at-a-time replay (see ``tests/test_determinism.py``).
 
-For multi-benchmark sweeps the runner can also fan the (benchmark × policy)
-grid out over worker processes (:meth:`BenchmarkRunner.run_grid`): every grid
-point is an independent deterministic simulation, so the parallel map returns
-exactly the results — in exactly the order — the serial loop would produce.
+For multi-benchmark sweeps the runner can also spread the (benchmark ×
+policy) grid over worker processes (:meth:`BenchmarkRunner.run_grid`, through
+the session executor): every grid point is an independent deterministic
+simulation, so the parallel run returns exactly the results — in exactly the
+order — the serial loop would produce.
 
 A runner may additionally be given a persistent
 :class:`~repro.experiments.store.ResultStore`.  Because every run is fully
@@ -25,7 +26,6 @@ the same cache.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -40,7 +40,6 @@ from repro.experiments.store import (
     multicore_run_key,
     run_key,
 )
-from repro.experiments.supervisor import SupervisedPool, SupervisionPolicy
 from repro.common.errors import ConfigurationError
 from repro.sim.config import BASELINE_POLICY, SimulatorConfig
 from repro.sim.multicore import (
@@ -425,92 +424,33 @@ class BenchmarkRunner:
         points: Sequence[tuple[WorkloadSpec, str | PolicySpec]],
         config: SimulatorConfig | None = None,
         jobs: int | None = None,
-        chunksize: int | None = None,
     ) -> list[SimulationResult]:
-        """Simulate a list of (resolved spec, policy) points, optionally in
-        parallel worker processes, returning results in input order.
+        """Simulate a list of (resolved spec, policy) points, returning
+        results in input order.
 
-        ``jobs=None`` (or 1) runs serially in this process; ``jobs=0`` uses
-        every available core; any other value caps the worker count.  Each
-        point is a fully deterministic, independent simulation, so the
-        returned list is identical regardless of ``jobs``.
+        The points go through the session executor
+        (:meth:`repro.api.session.Session.execute`) with this runner as its
+        engine: same-workload points replay in lockstep, and ``jobs``
+        (``None``/1 = in-process, 0 = every usable CPU, N = at most N
+        workers) spreads workload-affine tasks over a supervised pool.  Each
+        point is a fully deterministic simulation, so the returned list is
+        identical regardless of ``jobs``.
         """
-        points = [(spec, PolicySpec.of(policy)) for spec, policy in points]
+        from repro.api.scenario import RunRequest
+        from repro.api.session import Session
+
         run_config = config or self.config
-        if jobs is None or jobs == 1 or len(points) <= 1:
-            if len(points) <= 1 or not self.lockstep:
-                return [
-                    self.run_resolved(spec, policy, config=run_config).result
-                    for spec, policy in points
-                ]
-            # Serial grids advance contiguous same-workload stretches (the
-            # benchmark-major sweep shape) in lockstep: one trace decode and
-            # one front-of-pipe pass for the whole policy group.
-            results: list[SimulationResult] = []
-            start = 0
-            total = len(points)
-            while start < total:
-                spec = points[start][0]
-                stop = start
-                while stop < total and points[stop][0] == spec:
-                    stop += 1
-                group = [policy for _, policy in points[start:stop]]
-                if len(group) == 1:
-                    results.append(
-                        self.run_resolved(
-                            spec, group[0], config=run_config
-                        ).result
-                    )
-                else:
-                    results.extend(
-                        artifact.result
-                        for artifact in self.run_lockstep_resolved(
-                            spec, group, config=run_config
-                        )
-                    )
-                start = stop
-            return results
-        workers = jobs if jobs > 1 else (os.cpu_count() or 1)
-        workers = min(workers, len(points))
-        # Chunks preserve input order, giving deterministic output ordering.
-        # Callers that know the grid shape pass a chunksize that hands each
-        # worker contiguous same-benchmark points, so its process-level
-        # runner cache pays workload preparation and trace generation once
-        # per benchmark instead of per point.
-        size = max(chunksize or 1, 1)
-        chunks = [points[start : start + size] for start in range(0, len(points), size)]
-        pool = SupervisedPool(
-            _run_grid_chunk,
-            workers=min(workers, len(chunks)),
-            initializer=_init_grid_worker,
-            initargs=(
-                run_config,
-                self.pipeline_options,
-                self.store,
-                self.trace_archive,
-            ),
-            # run_points keeps the all-or-nothing contract of the old bare
-            # Pool.map (no retries, stop on first failure) — what it adds is
-            # supervised teardown: a crash, a KeyboardInterrupt or a worker
-            # death terminates and joins every child instead of leaking them.
-            policy=SupervisionPolicy(max_retries=0, keep_going=False),
-        )
-        try:
-            report = pool.run(chunks)
-        finally:
-            # Worker counters die with the pool; fold back every *completed*
-            # chunk — even when the run was interrupted mid-flight — so this
-            # runner (and its store/archive stats) reflect the work that
-            # actually happened and landed durably in the store.
-            for outcome in pool.outcomes:
-                if outcome.status == "done":
-                    _, simulated, store_delta, trace_delta = outcome.value
-                    self.fold_worker_counters(simulated, store_delta, trace_delta)
-        report.raise_on_failure()
-        results: list[SimulationResult] = []
-        for outcome in report.outcomes:
-            results.extend(outcome.value[0])
-        return results
+        requests = [
+            RunRequest(
+                spec=spec,
+                policy=PolicySpec.of(policy),
+                config=run_config,
+                options=self.pipeline_options,
+            )
+            for spec, policy in points
+        ]
+        session = Session.ensure(runner=self)
+        return [run.result for run in session._execute_requests(requests, jobs)]
 
     def fold_worker_counters(
         self,
@@ -555,18 +495,16 @@ class BenchmarkRunner:
         specs = [self.resolve_spec(benchmark) for benchmark in benchmarks]
         wanted = [PolicySpec.of(policy) for policy in policies]
         points = [(spec, policy) for spec in specs for policy in wanted]
-        results = self.run_points(
-            points, config=config, jobs=jobs, chunksize=len(wanted)
-        )
+        results = self.run_points(points, config=config, jobs=jobs)
         return [
             (spec.name, policy.canonical(), result)
             for (spec, policy), result in zip(points, results)
         ]
 
 
-#: Per-worker-process runner, built once by the pool initializer so that a
-#: worker handling several grid points of the same benchmark reuses its
-#: prepared workload and packed traces.
+#: Per-worker-process runner of a checkpointed sweep, built once by the pool
+#: initializer so that a worker handling several units of the same benchmark
+#: reuses its prepared workload and packed traces.
 _GRID_RUNNER: Optional[BenchmarkRunner] = None
 
 
@@ -597,26 +535,6 @@ def _counter_delta(
     before: tuple[int, int, int, int], after: tuple[int, int, int, int]
 ) -> tuple[int, int, int, int]:
     return tuple(now - then for now, then in zip(after, before))
-
-
-def _run_grid_chunk(
-    points: Sequence[tuple[WorkloadSpec, PolicySpec]], attempt: int = 1
-) -> tuple[list[SimulationResult], int, tuple, tuple]:
-    """(results, simulations executed, store counter deltas, trace-archive
-    counter deltas) for one contiguous chunk of grid points."""
-    assert _GRID_RUNNER is not None, "worker initializer did not run"
-    store_before = _counter_state(_GRID_RUNNER.store)
-    trace_before = _counter_state(_GRID_RUNNER.trace_archive)
-    simulated_before = _GRID_RUNNER.simulations_run
-    results = [
-        _GRID_RUNNER.run_resolved(spec, policy).result for spec, policy in points
-    ]
-    return (
-        results,
-        _GRID_RUNNER.simulations_run - simulated_before,
-        _counter_delta(store_before, _counter_state(_GRID_RUNNER.store)),
-        _counter_delta(trace_before, _counter_state(_GRID_RUNNER.trace_archive)),
-    )
 
 
 def _run_sweep_unit(

@@ -228,6 +228,18 @@ class ResultStore:
             self.misses += 1
         return None
 
+    def holds(self, key: str, need_reuse: bool = False) -> bool:
+        """Whether :meth:`load_run` (or :meth:`load_multicore`) would hit
+        ``key``, counting neither a hit nor a miss: the executor probes a
+        plan with it, so a point later loaded or simulated by a pool worker
+        is counted once."""
+        entry = None if self.refresh else self._read_entry("runs", key)
+        return (
+            entry is not None
+            and entry.get("schema") == SCHEMA_VERSION
+            and (not need_reuse or entry.get("reuse") is not None)
+        )
+
     def save_run(
         self,
         key: str,

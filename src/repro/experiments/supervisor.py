@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import heapq
 import multiprocessing
+import os
 import pickle
 import random
 import time
@@ -64,6 +65,29 @@ def pool_context():
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set (cpusets,
+    ``taskset``) where the platform reports one, else the host's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS, Windows)
+        return os.cpu_count() or 1
+
+
+def worker_count(jobs: Optional[int], tasks: int) -> int:
+    """Worker processes to run ``tasks`` pending tasks with.
+
+    ``jobs`` is the requested count: ``None`` or 1 for one, 0 for every
+    usable CPU (:func:`usable_cpus`), N for N.  More workers than tasks
+    would idle, so the count is capped by ``tasks``.
+    """
+    if jobs is not None and jobs < 0:
+        raise ConfigurationError(
+            f"jobs must be >= 0 (0 = every usable CPU), got {jobs}"
+        )
+    return min(1 if jobs is None else jobs or usable_cpus(), tasks)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ report are byte-identical to an uninterrupted run's.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -50,7 +49,11 @@ from repro.common.journal import AppendOnlyJournal
 from repro.core.pipeline import PipelineOptions
 from repro.experiments.runner import BenchmarkRunner, _run_sweep_unit
 from repro.experiments.store import run_key
-from repro.experiments.supervisor import SupervisedPool, SupervisionPolicy
+from repro.experiments.supervisor import (
+    SupervisedPool,
+    SupervisionPolicy,
+    worker_count,
+)
 from repro.sim.config import BASELINE_POLICY, SimulatorConfig
 from repro.sim.results import (
     SimulationResult,
@@ -121,11 +124,11 @@ def run_policy_sweep(
     historical signature: ``session=`` is the preferred handle, ``runner=``
     (an engine runner to adopt) and ``config=`` remain accepted.
 
-    ``jobs`` fans the (benchmark × policy) grid out over worker processes
-    (``0`` = all cores, ``None``/``1`` = serial).  Every grid point is an
-    independent deterministic simulation, so the sweep contents are identical
-    — including iteration order of the nested result dicts — for any ``jobs``
-    value.
+    ``jobs`` spreads the (benchmark × policy) grid over worker processes
+    (``0`` = every usable CPU, ``None``/``1`` = in-process).  Every grid
+    point is an independent deterministic simulation, so the sweep contents
+    are identical — including iteration order of the nested result dicts —
+    for any ``jobs`` value.
     """
     from repro.api.session import Session
 
@@ -469,13 +472,7 @@ def _execute_pending(
     supervision: SupervisionPolicy,
 ) -> None:
     """Run the pending units through a supervised pool, checkpointing each."""
-    if jobs is None or jobs == 1:
-        workers = 1
-    elif jobs == 0:
-        workers = os.cpu_count() or 1
-    else:
-        workers = jobs
-    workers = min(workers, len(pending))
+    workers = worker_count(jobs, len(pending))
     completed = 0
 
     def on_start(position: int, attempt: int, worker_id: int) -> None:

@@ -50,7 +50,6 @@ from repro.api.scenario import (
 from repro.common.errors import ReproError
 from repro.common.hashing import stable_hash
 from repro.core.pipeline import PipelineOptions
-from repro.experiments.store import multicore_run_key, run_key
 from repro.sim.config import NAMED_CONFIGS
 
 #: Submission schema version, folded into every job key.
@@ -217,23 +216,7 @@ def parse_submission(
             str(error), token=getattr(error, "token", None)
         ) from error
 
-    run_keys = tuple(
-        multicore_run_key(
-            request.cores,
-            request.policy,
-            request.config.with_l2_policy(request.policy),
-            request.options,
-            request.interleave,
-        )
-        if request.is_multicore
-        else run_key(
-            request.spec,
-            request.policy,
-            request.config.with_l2_policy(request.policy),
-            request.options,
-        )
-        for request in plan.requests
-    )
+    run_keys = tuple(request.store_key() for request in plan.requests)
     job_key = stable_hash(
         {
             "schema": SUBMISSION_SCHEMA,

@@ -248,3 +248,52 @@ class TestSession:
         by_spec = session.run_one(tiny_spec(), "trrip")
         assert by_spec.result.benchmark == "tinybench"
         assert by_spec.result.policy == "trrip-1"
+
+
+# -------------------------------------------------------------------- executor
+#: Two workloads: a plan over both forms two workload-affine tasks.
+TWO_WORKLOADS = ("tiny", "zipf:alpha=1.2,instructions=6000,warmup=2000")
+
+
+def forbid_pools(monkeypatch) -> None:
+    """Make any attempt to start a worker pool fail the test."""
+    from repro.experiments import supervisor
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(supervisor, "SupervisedPool", NoPool)
+
+
+class TestExecutorStartsNoPool:
+    scenario = Scenario(benchmarks=TWO_WORKLOADS, policies=("srrip", "trrip-1"))
+
+    def test_fully_stored_plan(self, tmp_path, monkeypatch):
+        make_session(store_root=tmp_path).run(self.scenario)
+        forbid_pools(monkeypatch)
+        replay = make_session(store_root=tmp_path)
+        replay.run(self.scenario, jobs=2)
+        assert replay.simulations_run == 0
+        assert (replay.store.hits, replay.store.misses) == (4, 0)
+
+    def test_one_usable_cpu(self, monkeypatch):
+        forbid_pools(monkeypatch)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+        session = make_session()
+        session.run(self.scenario, jobs=0)
+        assert session.simulations_run == 4
+
+    def test_served_job(self, tmp_path, monkeypatch):
+        from repro.server import JobManager, parse_submission
+
+        forbid_pools(monkeypatch)
+        manager = JobManager(
+            session_factory=lambda: make_session(store_root=tmp_path), workers=0
+        )
+        job, _ = manager.submit(
+            parse_submission({"benchmarks": list(TWO_WORKLOADS), "policies": ["srrip"]})
+        )
+        manager.start(1)
+        manager.shutdown(drain=True)  # returns only once the job is done
+        assert job.state == "done", job.error

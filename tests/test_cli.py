@@ -195,10 +195,56 @@ class TestRun:
         assert "cache disabled" in capsys.readouterr().out
         assert not list(tmp_path.glob("runs/*/*.json"))
 
-    def test_jobs_warning_for_serial_experiments(self, tmp_path, capsys):
-        argv = ["run", "figure1", "--tiny", "--jobs", "4", "--store", str(tmp_path)]
-        assert main(argv) == 0
-        assert "--jobs ignored" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "command", (["run", "table3"], ["sweep", "--policies", "lru"])
+    )
+    def test_negative_jobs_are_rejected(self, command, capsys):
+        assert main([*command, "--tiny", "--no-cache", "--jobs", "-2"]) == 1
+        assert "--jobs must be >= 0" in capsys.readouterr().err
+
+    def test_pooled_default_reports_the_in_process_summary(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A two-workload plan forks two workers by default; its cache and
+        trace summaries, cold and warm, equal ``--jobs 1``'s."""
+        from repro.experiments.supervisor import SupervisedPool
+
+        monkeypatch.setattr("repro.experiments.supervisor.usable_cpus", lambda: 2)
+        pools = []
+        start = SupervisedPool.run
+        monkeypatch.setattr(
+            SupervisedPool,
+            "run",
+            lambda pool, tasks: pools.append(pool.workers) or start(pool, tasks),
+        )
+        summaries = {}
+        for label, jobs in (("pooled", []), ("in-process", ["--jobs", "1"])):
+            argv = [
+                "run",
+                "table3",
+                "--tiny",
+                "--spec",
+                "zipf:alpha=1.2,instructions=6000,warmup=2000",
+                "--store",
+                str(tmp_path / label / "store"),
+                "--trace-dir",
+                str(tmp_path / label / "traces"),
+                *jobs,
+            ]
+            lines = []
+            for _ in ("cold", "warm"):
+                assert main(argv) == 0
+                out = capsys.readouterr().out.replace(str(tmp_path / label), "")
+                lines += [line for line in out.splitlines() if line.startswith("# ")]
+            summaries[label] = lines
+        assert pools == [2]
+        assert summaries["pooled"] == summaries["in-process"]
+        assert summaries["pooled"] == [
+            "# 18 simulation(s) run, 0 served from cache (/store)",
+            "# traces: 0 replayed, 2 captured (/traces)",
+            "# 0 simulation(s) run, 18 served from cache (/store)",
+            "# traces: 0 replayed, 0 captured (/traces)",
+        ]
 
     def test_single_benchmark_experiments_warn_on_extra_benchmarks(
         self, tmp_path, capsys
