@@ -64,7 +64,6 @@ class Session:
         options: Optional[PipelineOptions] = None,
         jobs: Optional[int] = None,
         traces: "Optional[TraceArchive | str]" = None,
-        lockstep: bool = True,
     ) -> None:
         self.config = config or SimulatorConfig.default()
         self.config.validate()
@@ -78,12 +77,6 @@ class Session:
         if traces is not None and not isinstance(traces, TraceArchive):
             traces = TraceArchive(traces)
         self.traces = traces
-        #: When executing a plan, runs that share (workload, config,
-        #: pipeline options) and differ only in their L2 policy advance
-        #: through one lockstep replay instead of N independent ones
-        #: (bit-identical results; see
-        #: :meth:`~repro.experiments.runner.BenchmarkRunner.run_lockstep_resolved`).
-        self.lockstep = lockstep
         self._runners: dict[tuple, BenchmarkRunner] = {}
 
     @classmethod
@@ -112,7 +105,6 @@ class Session:
                 options=runner.pipeline_options,
                 jobs=jobs,
                 traces=runner.trace_archive,
-                lockstep=runner.lockstep,
             )
             session._runners[
                 session._runner_key(runner.config, runner.pipeline_options)
@@ -144,7 +136,6 @@ class Session:
                 pipeline_options=run_options,
                 store=self.store,
                 trace_archive=self.traces,
-                lockstep=self.lockstep,
             )
             self._runners[key] = runner
         return runner
@@ -281,13 +272,7 @@ class Session:
             _run_task,
             workers=workers,
             initializer=_init_task_worker,
-            initargs=(
-                self.config,
-                self.store,
-                self.options,
-                self.traces,
-                self.lockstep,
-            ),
+            initargs=(self.config, self.store, self.options, self.traces),
             # All or nothing, like a bare Pool.map (no retries, stop on the
             # first failure), with supervised teardown: a crash or a
             # KeyboardInterrupt terminates and joins every child.
@@ -326,15 +311,14 @@ class Session:
         """
         units: dict[tuple, list[int]] = {}
         for index, request in enumerate(requests):
-            solo = request.track_reuse or request.is_multicore
-            if self.lockstep and not solo:
+            if request.track_reuse or request.is_multicore:
+                key = ("solo", index)
+            else:
                 key = (
                     request.spec,
                     request.config.content_hash(),
                     request.options.cache_key(),
                 )
-            else:
-                key = ("solo", index)
             units.setdefault(key, []).append(index)
         return list(units.values())
 
@@ -499,14 +483,10 @@ class Session:
 _TASK_SESSION: Optional[Session] = None
 
 
-def _init_task_worker(config, store, options, traces, lockstep) -> None:
+def _init_task_worker(config, store, options, traces) -> None:
     global _TASK_SESSION
     _TASK_SESSION = Session(
-        config=config,
-        store=store,
-        options=options,
-        traces=traces,
-        lockstep=lockstep,
+        config=config, store=store, options=options, traces=traces
     )
 
 

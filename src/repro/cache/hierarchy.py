@@ -6,14 +6,17 @@ replacement policies are applied, a shared unified SLC (exclusive,
 victim-filled from L2 evictions) and a fixed-latency DRAM backend.  Each level
 can host a stride/next-line prefetcher.
 
-The miss-path walk operates directly on the flat columns of
-:class:`~repro.cache.cache.SetAssociativeCache`: the request's line number is
-computed once and shared by every level (set index and tag are shift/mask
-derivations per level), L2/SLC lookups are inlined rather than dispatched,
-and SLC victim fills travel as one reused scratch request.  All statistics
-updates and replacement-policy hook invocations happen in exactly the order
-of the historical per-level ``access``/``fill`` calls, which is what keeps
-results bit-identical (``tests/test_determinism.py``).
+The L2 and SLC live in a :class:`SharedCacheSystem`, which every
+:class:`CacheHierarchy` is attached to: a single-core hierarchy builds its own
+one-core system, and the multi-core mode attaches every core's hierarchy to
+one.  There is therefore one miss-path walk.  It operates directly on the flat
+columns of :class:`~repro.cache.cache.SetAssociativeCache`: the request's
+line number is computed once and shared by every level (set index and tag are
+shift/mask derivations per level), L2/SLC lookups are inlined rather than
+dispatched, and SLC victim fills travel as one reused scratch request.  All
+statistics updates and replacement-policy hook invocations happen in exactly
+the order of the historical per-level ``access``/``fill`` calls, which is
+what keeps results bit-identical (``tests/test_determinism.py``).
 """
 
 from __future__ import annotations
@@ -96,12 +99,13 @@ def _build_cache(name: str, cfg: CacheLevelConfig, line_size: int) -> SetAssocia
 
 
 class SharedCacheSystem:
-    """One L2 + SLC instance shared by several per-core hierarchies.
+    """One L2 + SLC instance below the L1s of one or more cores.
 
-    The multi-core interleaved mode gives each core a private
-    :class:`CacheHierarchy` (its own L1s and prefetchers) constructed over
-    this object, so every core's miss path lands in the *same* L2/SLC arrays
-    and replacement-policy state.  Besides the caches it keeps the sharing
+    Every :class:`CacheHierarchy` (one core's L1s and prefetchers) is
+    attached to one of these: a single-core hierarchy builds its own, and the
+    multi-core interleaved mode attaches every core's hierarchy to one, so
+    every core's miss path lands in the *same* L2/SLC arrays and
+    replacement-policy state.  Besides the caches it keeps the sharing
     bookkeeping the contention experiments report:
 
     * ``owners`` — L2 line number -> index of the core that last filled it
@@ -112,10 +116,9 @@ class SharedCacheSystem:
       fills evicted (how much core ``c`` inflicted).
 
     Back-invalidation is cross-core: an inclusive-L2 victim is invalidated in
-    every registered core's L1s, not just the filler's.  With a single
-    registered core the shared walk performs exactly the private walk's state
-    transitions, which is what keeps an N=1 multi-core run bit-identical to
-    the single-core path (``tests/test_multicore.py``).
+    every registered core's L1s, not just the filler's.  An N=1 multi-core
+    run is therefore the single-core run, bit for bit
+    (``tests/test_multicore.py``).
     """
 
     def __init__(self, config: HierarchyConfig) -> None:
@@ -169,6 +172,13 @@ class SharedCacheSystem:
             counts[core] = counts.get(core, 0) + 1
         return counts
 
+    def reset(self) -> None:
+        """Empty the L2 and SLC and forget every owner and eviction count."""
+        self.l2.reset()
+        self.slc.reset()
+        self.owners.clear()
+        self.reset_sharing_stats()
+
     def reset_sharing_stats(self) -> None:
         """Zero the eviction counters while keeping ownership state.
 
@@ -185,10 +195,9 @@ class SharedCacheSystem:
 class CacheHierarchy:
     """Drives memory requests through the modelled cache hierarchy.
 
-    With ``shared`` set, the L2 and SLC are the shared system's instances
-    (multi-core interleaved mode) and the below-L1 walk adds ownership
-    tracking plus cross-core back-invalidation; otherwise the hierarchy is
-    fully private and behaves exactly as before.
+    The L1s and prefetchers are this core's own; the L2 and SLC are those of
+    ``shared`` (multi-core interleaved mode), or of a one-core
+    :class:`SharedCacheSystem` the hierarchy builds for itself.
     """
 
     def __init__(
@@ -199,17 +208,15 @@ class CacheHierarchy:
     ) -> None:
         config.validate()
         self.config = config
+        if shared is None:
+            shared = SharedCacheSystem(config)
         self.shared = shared
         self.core_id = core_id
         line = config.line_size
         self.l1i = _build_cache("L1I", config.l1i, line)
         self.l1d = _build_cache("L1D", config.l1d, line)
-        if shared is None:
-            self.l2 = _build_cache("L2", config.l2, line)
-            self.slc = _build_cache("SLC", config.slc, line)
-        else:
-            self.l2 = shared.l2
-            self.slc = shared.slc
+        self.l2 = shared.l2
+        self.slc = shared.slc
         self.l1i_prefetcher: Prefetcher = make_prefetcher(
             config.l1i.prefetcher, **config.l1i.prefetcher_kwargs
         )
@@ -253,11 +260,8 @@ class CacheHierarchy:
         #: above; see _make_walk/_make_instruction_fast/_make_data_fast.  The
         #: seed baseline replaces the caches after construction but never
         #: uses these paths — it overrides the whole access path.
-        if shared is not None:
-            shared.register(core_id, self)
-            self._walk_below_l1 = self._make_walk_shared()
-        else:
-            self._walk_below_l1 = self._make_walk()
+        shared.register(core_id, self)
+        self._walk_below_l1 = self._make_walk()
         self._issue_targets = self._make_issue_targets()
         self.access_instruction_fast = self._make_instruction_fast()
         self.access_data_fast = self._make_data_fast()
@@ -289,8 +293,11 @@ class CacheHierarchy:
         return self.access_data(request)
 
     def reset(self) -> None:
-        for cache in (self.l1i, self.l1d, self.l2, self.slc):
-            cache.reset()
+        """Power-on state: empty caches (the shared L2 and SLC included, with
+        their ownership), cleared prefetchers and statistics."""
+        self.l1i.reset()
+        self.l1d.reset()
+        self.shared.reset()
         for prefetcher in (self.l1i_prefetcher, self.l1d_prefetcher, self.l2_prefetcher):
             prefetcher.reset()
         self.stats.reset()
@@ -561,18 +568,23 @@ class CacheHierarchy:
 
         The L2 and SLC lookups are inlined copies of
         :meth:`SetAssociativeCache.access_line`, and the L2 victim handling
-        (back-invalidation, exclusive-SLC victim fill) is inlined as well —
-        statistics, dirty-bit and replacement-hook updates happen in exactly
-        the order of the historical per-level ``access``/``fill`` calls.
-        Every captured object is identity-stable for the hierarchy lifetime
-        (caches reset in place); the one dynamic attribute,
-        ``l2_access_observer``, is read through ``self`` per call.
+        (ownership, back-invalidation, exclusive-SLC victim fill) is inlined
+        as well — statistics, dirty-bit and replacement-hook updates happen
+        in exactly the order of the historical per-level ``access``/``fill``
+        calls.  At each L2 fill the owner map records this core as the
+        filler, and an evicted line owned by *another* core bumps the
+        inter-core eviction counters; back-invalidation consults every
+        registered core's L1s.  Every captured object is identity-stable for
+        the hierarchy lifetime (caches reset in place); the one dynamic
+        attribute, ``l2_access_observer``, is read through ``self`` per call.
         """
         hier = self
-        l1i_map = self.l1i._line_map
-        l1d_map = self.l1d._line_map
-        l1i_invalidate = self.l1i.invalidate_line
-        l1d_invalidate = self.l1d.invalidate_line
+        shared = self.shared
+        core_id = self.core_id
+        owners = shared.owners
+        inter_core = shared.inter_core_evictions
+        caused = shared.evictions_caused
+        l1_registry = shared._l1_registry
         l2 = self.l2
         slc = self.slc
         l2_map = l2._line_map
@@ -678,240 +690,6 @@ class CacheHierarchy:
                 observer(request, False)
 
             # SLC lookup.
-            way = slc_map.get(line_no)
-            if way is not None:
-                if is_prefetch:
-                    slc_stats.prefetch_hits += 1
-                elif is_ifetch:
-                    slc_stats.inst_hits += 1
-                else:
-                    slc_stats.data_hits += 1
-                set_index = line_no & slc_set_mask
-                if access_type is _STORE:
-                    slc_dirty[set_index * slc_ways + way] = 1
-                if slc_touch_kind == 2:
-                    clock = slc_touch_arg[0] + 1
-                    slc_touch_arg[0] = clock
-                    slc_touch_rows[set_index][way] = clock
-                elif slc_touch_kind == 1:
-                    slc_touch_rows[set_index][way] = slc_touch_arg
-                elif slc_touch_kind == 0:
-                    if slc_policy_touch is not None:
-                        slc_policy_touch(set_index, way)
-                    else:
-                        slc_on_hit(set_index, way, request)
-                latency += lat_slc
-                if slc_exclusive:
-                    slc_invalidate(line_no)
-                # L2 fill + victim handling (back-inval, SLC victim fill).
-                victim = l2_fill(
-                    line_no, 1, False, dirty_new, instr_new,
-                    temperature, pc, is_prefetch, request,
-                )
-                if victim is not None:
-                    victim_line, victim_instr, victim_pc = victim
-                    if evicted is not None:
-                        evicted.append(victim_line << line_shift)
-                    if l2_inclusive:
-                        if victim_line in l1i_map:
-                            l1i_invalidate(victim_line)
-                        if victim_line in l1d_map:
-                            l1d_invalidate(victim_line)
-                    if slc_exclusive:
-                        scratch.address = victim_line << line_shift
-                        scratch.access_type = _IFETCH if victim_instr else _LOAD
-                        scratch.pc = victim_pc
-                        slc_fill(
-                            victim_line, 0, False, 0,
-                            1 if victim_instr else 0,
-                            temp_none, victim_pc, True, scratch,
-                        )
-                if evicted is None:
-                    l1_fill(
-                        line_no, 0, False, dirty_new, instr_new,
-                        temperature, pc, is_prefetch, request,
-                    )
-                else:
-                    victim = l1_fill(
-                        line_no, 1, False, dirty_new, instr_new,
-                        temperature, pc, is_prefetch, request,
-                    )
-                    if victim is not None:
-                        evicted.append(victim[0] << line_shift)
-                return latency, 3
-            if is_prefetch:
-                slc_stats.prefetch_misses += 1
-            elif is_ifetch:
-                slc_stats.inst_misses += 1
-            else:
-                slc_stats.data_misses += 1
-
-            # DRAM.
-            latency += lat_slc_dram
-            victim = l2_fill(
-                line_no, 1, False, dirty_new, instr_new,
-                temperature, pc, is_prefetch, request,
-            )
-            if victim is not None:
-                victim_line, victim_instr, victim_pc = victim
-                if evicted is not None:
-                    evicted.append(victim_line << line_shift)
-                if l2_inclusive:
-                    if victim_line in l1i_map:
-                        l1i_invalidate(victim_line)
-                    if victim_line in l1d_map:
-                        l1d_invalidate(victim_line)
-                if slc_exclusive:
-                    scratch.address = victim_line << line_shift
-                    scratch.access_type = _IFETCH if victim_instr else _LOAD
-                    scratch.pc = victim_pc
-                    slc_fill(
-                        victim_line, 0, False, 0,
-                        1 if victim_instr else 0,
-                        temp_none, victim_pc, True, scratch,
-                    )
-            if not slc_exclusive:
-                slc_fill(
-                    line_no, 0, False, dirty_new, instr_new,
-                    temperature, pc, is_prefetch, request,
-                )
-            if evicted is None:
-                l1_fill(
-                    line_no, 0, False, dirty_new, instr_new,
-                    temperature, pc, is_prefetch, request,
-                )
-            else:
-                victim = l1_fill(
-                    line_no, 1, False, dirty_new, instr_new,
-                    temperature, pc, is_prefetch, request,
-                )
-                if victim is not None:
-                    evicted.append(victim[0] << line_shift)
-            return latency, 4
-
-        return walk
-
-    def _make_walk_shared(self):
-        """The below-L1 walk for a core attached to a :class:`SharedCacheSystem`.
-
-        Identical to :meth:`_make_walk` in every lookup, statistic and
-        replacement-hook transition, with two sharing extensions at the L2
-        fill sites: the owner map records this core as the filler, and an
-        evicted line owned by *another* core bumps the inter-core eviction
-        counters.  Back-invalidation consults every registered core's L1s
-        through the shared registry (for one registered core that is exactly
-        the private walk's behaviour, so N=1 stays bit-identical).
-        """
-        hier = self
-        shared = self.shared
-        core_id = self.core_id
-        owners = shared.owners
-        inter_core = shared.inter_core_evictions
-        caused = shared.evictions_caused
-        l1_registry = shared._l1_registry
-        l2 = self.l2
-        slc = self.slc
-        l2_map = l2._line_map
-        slc_map = slc._line_map
-        l2_stats = l2.stats
-        slc_stats = slc.stats
-        l2_dirty = l2._dirty
-        slc_dirty = slc._dirty
-        l2_ways = l2.associativity
-        slc_ways = slc.associativity
-        l2_set_mask = l2._set_mask
-        slc_set_mask = slc._set_mask
-        l2_touch_kind = l2._touch_kind
-        l2_touch_rows = l2._touch_rows
-        l2_touch_arg = l2._touch_arg
-        l2_policy_touch = l2._policy_touch
-        l2_on_hit = l2.policy.on_hit
-        slc_touch_kind = slc._touch_kind
-        slc_touch_rows = slc._touch_rows
-        slc_touch_arg = slc._touch_arg
-        slc_policy_touch = slc._policy_touch
-        slc_on_hit = slc.policy.on_hit
-        l2_fill = l2._fill_scalars
-        slc_fill = slc._fill_scalars
-        slc_invalidate = slc.invalidate_line
-        temp_none = self._slc_scratch.temperature
-        lat_l1i = self._lat_l1i
-        lat_l1d = self._lat_l1d
-        lat_l2 = self._lat_l2
-        lat_slc = self._lat_slc
-        lat_slc_dram = self._lat_slc + self._lat_dram
-        l2_inclusive = self._l2_inclusive
-        slc_exclusive = self._slc_exclusive
-        line_shift = self._line_shift
-        scratch = self._slc_scratch
-
-        def walk(
-            request: MemoryRequest,
-            l1: SetAssociativeCache,
-            evicted: Optional[list[int]],
-            line_no: int = -1,
-        ) -> tuple[int, int]:
-            if line_no < 0:
-                line_no = request.address >> line_shift
-            access_type = request.access_type
-            is_ifetch = access_type is _IFETCH
-            is_prefetch = request.is_prefetch
-            latency = (lat_l1i if is_ifetch else lat_l1d) + lat_l2
-            observer = hier.l2_access_observer
-            l1_fill = l1._fill_scalars
-            dirty_new = 1 if access_type is _STORE else 0
-            instr_new = 1 if is_ifetch else 0
-            temperature = request.temperature
-            pc = request.pc
-
-            # L2 lookup (shared instance).
-            way = l2_map.get(line_no)
-            if way is not None:
-                if is_prefetch:
-                    l2_stats.prefetch_hits += 1
-                elif is_ifetch:
-                    l2_stats.inst_hits += 1
-                else:
-                    l2_stats.data_hits += 1
-                set_index = line_no & l2_set_mask
-                if access_type is _STORE:
-                    l2_dirty[set_index * l2_ways + way] = 1
-                if l2_touch_kind == 1:
-                    l2_touch_rows[set_index][way] = l2_touch_arg
-                elif l2_touch_kind == 2:
-                    clock = l2_touch_arg[0] + 1
-                    l2_touch_arg[0] = clock
-                    l2_touch_rows[set_index][way] = clock
-                elif l2_touch_kind == 0:
-                    if l2_policy_touch is not None:
-                        l2_policy_touch(set_index, way)
-                    else:
-                        l2_on_hit(set_index, way, request)
-                if observer is not None and not is_prefetch:
-                    observer(request, True)
-                if evicted is None:
-                    l1_fill(
-                        line_no, 0, False, dirty_new, instr_new,
-                        temperature, pc, is_prefetch, request,
-                    )
-                else:
-                    victim = l1_fill(
-                        line_no, 1, False, dirty_new, instr_new,
-                        temperature, pc, is_prefetch, request,
-                    )
-                    if victim is not None:
-                        evicted.append(victim[0] << line_shift)
-                return latency, 2
-            if is_prefetch:
-                l2_stats.prefetch_misses += 1
-            elif is_ifetch:
-                l2_stats.inst_misses += 1
-            else:
-                l2_stats.data_misses += 1
-            if observer is not None and not is_prefetch:
-                observer(request, False)
-
-            # SLC lookup (shared instance).
             way = slc_map.get(line_no)
             if way is not None:
                 if is_prefetch:

@@ -49,6 +49,8 @@ class BackendStats:
     """Counters kept by the backend model."""
 
     data_accesses: int = 0
+    #: Stall cycles of the current replay call (zeroed when a replay
+    #: starts); ``data_accesses`` counts across calls.
     mem_stall_cycles: float = 0.0
     depend_stall_cycles: float = 0.0
     issue_stall_cycles: float = 0.0

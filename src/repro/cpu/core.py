@@ -13,6 +13,14 @@ model in the spirit of Sniper's interval simulation (the paper's simulator):
 * the trace's synthetic ``depend``/``issue`` annotations are charged verbatim
   (they model the dependency and issue-queue stalls a detailed OoO core would
   exhibit, and only matter for the Figure 1/2 Top-Down shapes).
+
+Packed traces replay through one loop, :func:`run_lanes`.  A *lane* is one
+packed trace, its fetch-line automaton and one branch unit, driving one or
+more cores: solo replay is one lane of one core, lockstep (a policy sweep) is
+one lane of N cores, and a multi-core co-run is N one-core lanes taking
+round-robin turns.  The record loop in :meth:`CoreModel.run` stays as the
+reference the packed loop is pinned against
+(``tests/test_vector_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -149,19 +157,19 @@ class CoreModel:
         state, starvation history and cache contents persist across calls —
         so a warm-up window can be run first and discarded.
 
-        A :class:`~repro.common.trace.PackedTrace` is replayed through the
-        column-oriented fast loop (:meth:`run_packed`), which produces
-        bit-identical results to replaying the equivalent record stream.
+        A :class:`~repro.common.trace.PackedTrace` is replayed as a one-core
+        lane (:func:`run_lanes`), which produces bit-identical results to
+        replaying the equivalent record stream.
         """
         if isinstance(trace, PackedTrace):
-            return self.run_packed(trace)
+            [[result]] = run_lanes([((self,), trace)])
+            return result
         topdown = TopDownBreakdown()
         instructions = 0
         current_line = -1
         width = self.config.dispatch_width
         penalty = self.config.branch.mispredict_penalty
-        self.frontend.line_stall_cycles.clear()
-        self.frontend.line_miss_counts.clear()
+        self._begin_replay()
         branches_before = self.branch_unit.stats.branches
         mispredictions_before = self.branch_unit.stats.mispredictions
 
@@ -208,122 +216,17 @@ class CoreModel:
             line_miss_counts=dict(self.frontend.line_miss_counts),
         )
 
-    def run_packed(self, trace: PackedTrace) -> CoreResult:
-        """Replay a packed trace through the column-oriented hot loop.
-
-        Semantically identical to :meth:`run` over the same instructions, but
-        the loop reads machine integers out of the packed columns, keeps the
-        Top-Down accumulators in hoisted local floats (folded into the
-        :class:`TopDownBreakdown` once at the end, with the same per-category
-        accumulation order so the totals are bit-identical), and enters the
-        memory system through the resident-line fast paths of
-        :class:`~repro.cpu.frontend.FetchEngine` and
-        :class:`~repro.cpu.backend.BackendModel`.
-        """
+    def _begin_replay(self) -> None:
+        """Zero the per-call stall accounting: the fetch, data, depend and
+        issue stall totals and the per-line stall maps."""
         frontend = self.frontend
-        backend = self.backend
-        branch_unit = self.branch_unit
+        frontend.stats.ifetch_stall_cycles = 0.0
         frontend.line_stall_cycles.clear()
         frontend.line_miss_counts.clear()
-        branches_before = branch_unit.stats.branches
-        mispredictions_before = branch_unit.stats.mispredictions
-
-        width = self.config.dispatch_width
-        retire_inc = 1.0 / width
-        penalty = float(self.config.branch.mispredict_penalty)
-        line_size = self.line_size
-
-        fetch_fast = frontend.fetch_line_fast
-        data_fast = backend.access_data_fast
-        predict_raw = branch_unit.predict_and_update_raw
-        backend_stats = backend.stats
-
-        sizes = trace.size
-        targets = trace.branch_target
-        mems = trace.mem_address
-        depends = trace.depend_stall
-        issues = trace.issue_stall
-
-        instructions = len(trace.pc)
-        # Only instructions that carry flags or cross a fetch boundary can
-        # change simulator state; everything else just retires.  Iterate the
-        # precomputed event indices and account retire bandwidth separately
-        # (with the same one-add-per-instruction accumulation as the record
-        # loop, so the total stays bit-identical).
-        ifetch = 0.0
-        mispred = 0.0
-        depend = 0.0
-        issue = 0.0
-        mem = 0.0
-        current_line = -1
-        event_indices, event_pcs, event_flags, event_lines = trace.fetch_events(
-            line_size
-        )
-        mem_lines = trace.mem_lines(line_size)
-        for index, pc, flags, fetch_line in zip(
-            event_indices, event_pcs, event_flags, event_lines
-        ):
-            if fetch_line != current_line:
-                current_line = fetch_line
-                stall = fetch_fast(fetch_line)
-                if stall > 0.0:
-                    ifetch += stall
-
-            if flags:
-                if flags & FLAG_BRANCH:
-                    outcome = predict_raw(
-                        pc,
-                        sizes[index],
-                        flags & FLAG_TAKEN != 0,
-                        targets[index],
-                        flags & FLAG_INDIRECT != 0,
-                        flags & FLAG_CALL != 0,
-                        flags & FLAG_RETURN != 0,
-                    )
-                    if outcome[2]:
-                        mispred += penalty
-                    if flags & FLAG_TAKEN:
-                        # Fetch redirects to the branch target.
-                        current_line = -1
-                if flags & FLAG_MEM:
-                    stall = data_fast(
-                        mems[index],
-                        pc,
-                        flags & FLAG_STORE != 0,
-                        mem_lines[index],
-                    )
-                    if stall > 0.0:
-                        mem += stall
-                if flags & FLAG_DEPEND:
-                    cycles = depends[index]
-                    backend_stats.depend_stall_cycles += cycles
-                    depend += cycles
-                if flags & FLAG_ISSUE:
-                    cycles = issues[index]
-                    backend_stats.issue_stall_cycles += cycles
-                    issue += cycles
-
-        retire = _retire_total(retire_inc, instructions)
-
-        topdown = TopDownBreakdown(
-            retire=retire,
-            ifetch=ifetch,
-            mispred=mispred,
-            depend=depend,
-            issue=issue,
-            mem=mem,
-        )
-        return CoreResult(
-            instructions=instructions,
-            cycles=topdown.total_cycles,
-            topdown=topdown,
-            branches=branch_unit.stats.branches - branches_before,
-            branch_mispredictions=(
-                branch_unit.stats.mispredictions - mispredictions_before
-            ),
-            line_stall_cycles=dict(frontend.line_stall_cycles),
-            line_miss_counts=dict(frontend.line_miss_counts),
-        )
+        stats = self.backend.stats
+        stats.mem_stall_cycles = 0.0
+        stats.depend_stall_cycles = 0.0
+        stats.issue_stall_cycles = 0.0
 
     def reset(self) -> None:
         self.frontend.reset()
@@ -331,90 +234,116 @@ class CoreModel:
         self.branch_unit.reset()
 
 
-def run_packed_lockstep(
-    cores: Sequence["CoreModel"], trace: PackedTrace
-) -> list[CoreResult]:
-    """Replay one packed trace through several cores in lockstep.
+def run_lanes(
+    lanes: Sequence[tuple[Sequence[CoreModel], PackedTrace]],
+    quanta: Optional[Sequence[int]] = None,
+) -> list[list[CoreResult]]:
+    """Replay packed traces, each through its own group of cores.
 
-    All cores must share the same core/branch configuration and line size;
-    they are expected to differ only in their memory systems (the
-    multi-policy sweep case: one hierarchy per L2 replacement policy).  The
-    trace is decoded once, the fetch-boundary decisions are made once (the
-    current-fetch-line automaton depends only on the trace), and the branch
-    outcomes are computed once on the *first* core's branch unit — branch
-    predictor state evolves identically on every core because it never
-    observes the memory system, so the shared unit produces exactly the
-    outcome sequence each solo run would.  Only the per-hierarchy work
-    (instruction fetches, data accesses and their stall accumulation) runs
-    per core, which is what makes an N-policy sweep cheaper than N
-    independent replays.
+    Each lane is ``(cores, trace)``.  Lanes take turns in strict round-robin
+    order; lane ``i`` advances ``quanta[i]`` instructions per turn, and a lane
+    whose trace is exhausted drops out while the rest continue.  Without
+    ``quanta`` every lane runs to its end in one turn.  The interleave, and
+    therefore every shared-cache state transition, is a pure function of the
+    traces and quanta, independent of host scheduling.
 
-    Returns one :class:`CoreResult` per core, bit-identical to what
-    ``core.run_packed(trace)`` would produce in its own process (pinned by
-    ``tests/test_lockstep.py``).  The other cores' own branch units are left
-    untouched; their results report the shared unit's deltas.
+    Returns one list of :class:`CoreResult` per lane, index-aligned with its
+    cores.  Each result is bit-identical to replaying the equivalent record
+    stream through :meth:`CoreModel.run` on that core alone (pinned by
+    ``tests/test_vector_equivalence.py`` and ``tests/test_lockstep.py``).
     """
-    if not cores:
-        return []
-    if len(cores) == 1:
-        return [cores[0].run_packed(trace)]
+    if quanta is None:
+        quanta = [len(trace.pc) for _, trace in lanes]
+    elif len(quanta) != len(lanes) or any(quantum <= 0 for quantum in quanta):
+        raise ValueError("run_lanes needs one positive quantum per lane")
+    loops = []
+    for cores, trace in lanes:
+        loop = _lane_loop(cores, trace)
+        next(loop)  # validate and set up; stops before the first event
+        loops.append(loop)
+    results: list = [None] * len(loops)
+    live = list(range(len(loops)))
+    turn = 0
+    while live:
+        turn += 1
+        running = []
+        for lane in live:
+            try:
+                loops[lane].send(turn * quanta[lane])
+            except StopIteration as finished:
+                results[lane] = finished.value
+            else:
+                running.append(lane)
+        live = running
+    return results
+
+
+def _lane_loop(cores: Sequence[CoreModel], trace: PackedTrace):
+    """The replay loop of one lane, as a generator resumable between turns.
+
+    Each ``send(bound)`` replays the events of the instructions below
+    ``bound``; an event past the bound waits in the loop for the next turn.
+    The generator returns the lane's results once the trace is exhausted.
+
+    The trace is decoded once, the fetch-boundary decisions are made once
+    (the current-fetch-line automaton depends only on the trace) and the
+    branch outcomes are computed once, on the *first* core's branch unit.
+    Predictor state never observes the memory system, so the shared unit
+    produces exactly the outcome sequence each core's own unit would; the
+    other cores' units are left untouched and their results report the
+    shared unit's deltas.  Only instruction fetches and data accesses run
+    per core, through one fetch and one data callable: the core's own fast
+    path for a one-core lane, a fan-out over the cores otherwise.  Each
+    core's ``ifetch`` and ``mem`` totals accumulate in its frontend and
+    backend statistics, in the order the record loop adds them.
+    """
     lead = cores[0]
     line_size = lead.line_size
-    lead_core_cfg = lead.config
+    config = lead.config
     for core in cores[1:]:
         # Full config equality (dataclass ==, covering frontend, backend and
         # every branch-predictor sizing field): the branch outcomes are
         # computed once on the lead core's unit, so any difference in
         # predictor geometry would silently change the other cores' results.
-        if core.line_size != line_size or core.config != lead_core_cfg:
+        if core.line_size != line_size or core.config != config:
             raise ValueError(
-                "lockstep replay requires cores with identical core/branch "
+                "cores sharing a lane need identical core/branch "
                 "configuration and line size"
             )
-
-    branch_unit = lead.branch_unit
-    branches_before = branch_unit.stats.branches
-    mispredictions_before = branch_unit.stats.mispredictions
-    predict_raw = branch_unit.predict_and_update_raw
-
-    width = lead_core_cfg.dispatch_width
-    retire_inc = 1.0 / width
-    penalty = float(lead_core_cfg.branch.mispredict_penalty)
-
-    frontends = [core.frontend for core in cores]
-    for frontend in frontends:
-        frontend.line_stall_cycles.clear()
-        frontend.line_miss_counts.clear()
-    fetch_fns = [frontend.fetch_line_fast for frontend in frontends]
-    data_fns = [core.backend.access_data_fast for core in cores]
-    backend_stats = [core.backend.stats for core in cores]
-    count = len(cores)
-    ifetch_acc = [0.0] * count
-    mem_acc = [0.0] * count
-    mispred = 0.0
-    depend = 0.0
-    issue = 0.0
-
+    for core in cores:
+        core._begin_replay()
+    if len(cores) == 1:
+        fetch = lead.frontend.fetch_line_fast
+        data = lead.backend.access_data_fast
+    else:
+        fetch, data = _fan_out(cores)
+    branch_stats = lead.branch_unit.stats
+    branches_before = branch_stats.branches
+    mispredictions_before = branch_stats.mispredictions
+    predict_raw = lead.branch_unit.predict_and_update_raw
+    penalty = float(config.branch.mispredict_penalty)
     sizes = trace.size
     targets = trace.branch_target
     mems = trace.mem_address
     depends = trace.depend_stall
     issues = trace.issue_stall
-    instructions = len(trace.pc)
-    current_line = -1
-    event_indices, event_pcs, event_flags, event_lines = trace.fetch_events(
-        line_size
-    )
     mem_lines = trace.mem_lines(line_size)
-    for index, pc, flags, fetch_line in zip(
-        event_indices, event_pcs, event_flags, event_lines
-    ):
+    # Only instructions that carry flags or cross a fetch boundary can change
+    # simulator state; everything else just retires.  Iterate the
+    # precomputed events and account retire bandwidth separately (with the
+    # record loop's one add per instruction, so the total stays
+    # bit-identical).
+    mispred = 0.0
+    depend = 0.0
+    issue = 0.0
+    current_line = -1
+    bound = yield
+    for index, pc, flags, fetch_line in zip(*trace.fetch_events(line_size)):
+        while index >= bound:
+            bound = yield
         if fetch_line != current_line:
             current_line = fetch_line
-            for i, fetch_fast in enumerate(fetch_fns):
-                stall = fetch_fast(fetch_line)
-                if stall > 0.0:
-                    ifetch_acc[i] += stall
+            fetch(fetch_line)
 
         if flags:
             if flags & FLAG_BRANCH:
@@ -433,36 +362,29 @@ def run_packed_lockstep(
                     # Fetch redirects to the branch target.
                     current_line = -1
             if flags & FLAG_MEM:
-                address = mems[index]
-                mem_line = mem_lines[index]
-                is_store = flags & FLAG_STORE != 0
-                for i, data_fast in enumerate(data_fns):
-                    stall = data_fast(address, pc, is_store, mem_line)
-                    if stall > 0.0:
-                        mem_acc[i] += stall
+                data(mems[index], pc, flags & FLAG_STORE != 0, mem_lines[index])
             if flags & FLAG_DEPEND:
-                cycles = depends[index]
-                for stats in backend_stats:
-                    stats.depend_stall_cycles += cycles
-                depend += cycles
+                depend += depends[index]
             if flags & FLAG_ISSUE:
-                cycles = issues[index]
-                for stats in backend_stats:
-                    stats.issue_stall_cycles += cycles
-                issue += cycles
+                issue += issues[index]
 
-    retire = _retire_total(retire_inc, instructions)
-    branches = branch_unit.stats.branches - branches_before
-    mispredictions = branch_unit.stats.mispredictions - mispredictions_before
+    instructions = len(trace.pc)
+    retire = _retire_total(1.0 / config.dispatch_width, instructions)
+    branches = branch_stats.branches - branches_before
+    mispredictions = branch_stats.mispredictions - mispredictions_before
     results = []
-    for i, core in enumerate(cores):
+    for core in cores:
+        frontend = core.frontend
+        backend_stats = core.backend.stats
+        backend_stats.depend_stall_cycles += depend
+        backend_stats.issue_stall_cycles += issue
         topdown = TopDownBreakdown(
             retire=retire,
-            ifetch=ifetch_acc[i],
+            ifetch=frontend.stats.ifetch_stall_cycles,
             mispred=mispred,
             depend=depend,
             issue=issue,
-            mem=mem_acc[i],
+            mem=backend_stats.mem_stall_cycles,
         )
         results.append(
             CoreResult(
@@ -471,261 +393,26 @@ def run_packed_lockstep(
                 topdown=topdown,
                 branches=branches,
                 branch_mispredictions=mispredictions,
-                line_stall_cycles=dict(core.frontend.line_stall_cycles),
-                line_miss_counts=dict(core.frontend.line_miss_counts),
+                line_stall_cycles=dict(frontend.line_stall_cycles),
+                line_miss_counts=dict(frontend.line_miss_counts),
             )
         )
     return results
 
 
-class _CoreCursor:
-    """Resumable replay position of one core in an interleaved run.
+def _fan_out(cores: Sequence[CoreModel]):
+    """One fetch and one data callable that drive every core, in order."""
+    fetches = [core.frontend.fetch_line_fast for core in cores]
+    accesses = [core.backend.access_data_fast for core in cores]
 
-    Holds everything :meth:`CoreModel.run_packed` keeps in loop locals —
-    the decoded event columns, the fetch-line automaton, and the per-category
-    float accumulators — so the round-robin scheduler can advance a core a
-    quantum at a time and the accumulation order within each core stays
-    exactly the solo loop's.
-    """
+    def fetch(fetch_line: int) -> None:
+        for fetch_fast in fetches:
+            fetch_fast(fetch_line)
 
-    __slots__ = (
-        "core",
-        "fetch_fast",
-        "data_fast",
-        "predict_raw",
-        "backend_stats",
-        "penalty",
-        "retire_inc",
-        "sizes",
-        "targets",
-        "mems",
-        "depends",
-        "issues",
-        "event_indices",
-        "event_pcs",
-        "event_flags",
-        "event_lines",
-        "mem_lines",
-        "instructions",
-        "events",
-        "pos",
-        "bound",
-        "current_line",
-        "ifetch",
-        "mispred",
-        "depend",
-        "issue",
-        "mem",
-        "branches_before",
-        "mispredictions_before",
-    )
+    def data(address: int, pc: int, is_store: bool, mem_line: int) -> None:
+        for access_fast in accesses:
+            access_fast(address, pc, is_store, mem_line)
+
+    return fetch, data
 
 
-def _advance_cursor(state: _CoreCursor, bound: int) -> None:
-    """Process one core's events with instruction index below ``bound``.
-
-    The body is a verbatim copy of :meth:`CoreModel.run_packed`'s event loop
-    over a slice of the event stream; locals are reloaded from / stored back
-    to the cursor so repeated calls chain into the identical computation.
-    """
-    pos = state.pos
-    events = state.events
-    if pos >= events:
-        return
-    event_indices = state.event_indices
-    event_pcs = state.event_pcs
-    event_flags = state.event_flags
-    event_lines = state.event_lines
-    sizes = state.sizes
-    targets = state.targets
-    mems = state.mems
-    depends = state.depends
-    issues = state.issues
-    mem_lines = state.mem_lines
-    fetch_fast = state.fetch_fast
-    data_fast = state.data_fast
-    predict_raw = state.predict_raw
-    backend_stats = state.backend_stats
-    penalty = state.penalty
-    current_line = state.current_line
-    ifetch = state.ifetch
-    mispred = state.mispred
-    depend = state.depend
-    issue = state.issue
-    mem = state.mem
-
-    while pos < events:
-        index = event_indices[pos]
-        if index >= bound:
-            break
-        pc = event_pcs[pos]
-        flags = event_flags[pos]
-        fetch_line = event_lines[pos]
-        if fetch_line != current_line:
-            current_line = fetch_line
-            stall = fetch_fast(fetch_line)
-            if stall > 0.0:
-                ifetch += stall
-
-        if flags:
-            if flags & FLAG_BRANCH:
-                outcome = predict_raw(
-                    pc,
-                    sizes[index],
-                    flags & FLAG_TAKEN != 0,
-                    targets[index],
-                    flags & FLAG_INDIRECT != 0,
-                    flags & FLAG_CALL != 0,
-                    flags & FLAG_RETURN != 0,
-                )
-                if outcome[2]:
-                    mispred += penalty
-                if flags & FLAG_TAKEN:
-                    # Fetch redirects to the branch target.
-                    current_line = -1
-            if flags & FLAG_MEM:
-                stall = data_fast(
-                    mems[index],
-                    pc,
-                    flags & FLAG_STORE != 0,
-                    mem_lines[index],
-                )
-                if stall > 0.0:
-                    mem += stall
-            if flags & FLAG_DEPEND:
-                cycles = depends[index]
-                backend_stats.depend_stall_cycles += cycles
-                depend += cycles
-            if flags & FLAG_ISSUE:
-                cycles = issues[index]
-                backend_stats.issue_stall_cycles += cycles
-                issue += cycles
-        pos += 1
-
-    state.pos = pos
-    state.current_line = current_line
-    state.ifetch = ifetch
-    state.mispred = mispred
-    state.depend = depend
-    state.issue = issue
-    state.mem = mem
-
-
-def run_packed_interleaved(
-    cores: Sequence["CoreModel"],
-    traces: Sequence[PackedTrace],
-    quanta: Optional[Sequence[int]] = None,
-) -> list[CoreResult]:
-    """Replay N packed traces through N cores in a deterministic interleave.
-
-    The inversion of :func:`run_packed_lockstep`: instead of one trace
-    advancing N memory systems, N independent trace streams advance their own
-    cores — each with its private branch unit, frontend and L1s — typically
-    against hierarchies built over one
-    :class:`~repro.cache.hierarchy.SharedCacheSystem`, so the streams contend
-    for the shared L2/SLC.  Cores take turns in strict round-robin order;
-    core ``i`` advances ``quanta[i]`` instructions per turn (default 1:1),
-    and a core whose trace is exhausted drops out while the rest continue.
-    The interleave — and therefore every shared-cache state transition — is a
-    pure function of the traces and ratios, independent of host scheduling.
-
-    Per-core accounting is exactly :meth:`CoreModel.run_packed`'s: the same
-    event iteration, the same accumulation order of every float, the same
-    retire-bandwidth fold.  With a single core the loop degenerates to the
-    solo replay and produces bit-identical results
-    (``tests/test_multicore.py``).
-    """
-    count = len(cores)
-    if len(traces) != count:
-        raise ValueError("run_packed_interleaved needs one trace per core")
-    if quanta is None:
-        quanta = (1,) * count
-    quanta = tuple(int(q) for q in quanta)
-    if len(quanta) != count:
-        raise ValueError("run_packed_interleaved needs one quantum per core")
-    if any(q <= 0 for q in quanta):
-        raise ValueError("interleave quanta must be positive")
-    if not cores:
-        return []
-
-    states: list[_CoreCursor] = []
-    for core, trace in zip(cores, traces):
-        frontend = core.frontend
-        frontend.line_stall_cycles.clear()
-        frontend.line_miss_counts.clear()
-        branch_unit = core.branch_unit
-        event_indices, event_pcs, event_flags, event_lines = trace.fetch_events(
-            core.line_size
-        )
-        state = _CoreCursor()
-        state.core = core
-        state.fetch_fast = frontend.fetch_line_fast
-        state.data_fast = core.backend.access_data_fast
-        state.predict_raw = branch_unit.predict_and_update_raw
-        state.backend_stats = core.backend.stats
-        state.penalty = float(core.config.branch.mispredict_penalty)
-        state.retire_inc = 1.0 / core.config.dispatch_width
-        state.sizes = trace.size
-        state.targets = trace.branch_target
-        state.mems = trace.mem_address
-        state.depends = trace.depend_stall
-        state.issues = trace.issue_stall
-        state.event_indices = event_indices
-        state.event_pcs = event_pcs
-        state.event_flags = event_flags
-        state.event_lines = event_lines
-        state.mem_lines = trace.mem_lines(core.line_size)
-        state.instructions = len(trace.pc)
-        state.events = len(event_indices)
-        state.pos = 0
-        state.bound = 0
-        state.current_line = -1
-        state.ifetch = 0.0
-        state.mispred = 0.0
-        state.depend = 0.0
-        state.issue = 0.0
-        state.mem = 0.0
-        state.branches_before = branch_unit.stats.branches
-        state.mispredictions_before = branch_unit.stats.mispredictions
-        states.append(state)
-
-    active = True
-    while active:
-        active = False
-        for state, quantum in zip(states, quanta):
-            if state.bound >= state.instructions and state.pos >= state.events:
-                continue
-            bound = state.bound + quantum
-            if bound > state.instructions:
-                bound = state.instructions
-            state.bound = bound
-            _advance_cursor(state, bound)
-            if state.bound < state.instructions or state.pos < state.events:
-                active = True
-
-    results = []
-    for state in states:
-        core = state.core
-        topdown = TopDownBreakdown(
-            retire=_retire_total(state.retire_inc, state.instructions),
-            ifetch=state.ifetch,
-            mispred=state.mispred,
-            depend=state.depend,
-            issue=state.issue,
-            mem=state.mem,
-        )
-        branch_stats = core.branch_unit.stats
-        results.append(
-            CoreResult(
-                instructions=state.instructions,
-                cycles=topdown.total_cycles,
-                topdown=topdown,
-                branches=branch_stats.branches - state.branches_before,
-                branch_mispredictions=(
-                    branch_stats.mispredictions - state.mispredictions_before
-                ),
-                line_stall_cycles=dict(core.frontend.line_stall_cycles),
-                line_miss_counts=dict(core.frontend.line_miss_counts),
-            )
-        )
-    return results

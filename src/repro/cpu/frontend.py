@@ -58,6 +58,8 @@ class FrontendStats:
 
     demand_fetches: int = 0
     starvation_events: int = 0
+    #: Exposed fetch stall cycles of the current replay call (zeroed when a
+    #: replay starts, like the per-line stall maps).
     ifetch_stall_cycles: float = 0.0
 
 

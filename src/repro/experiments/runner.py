@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 from repro.analysis.reuse import ReuseDistanceTracker
 from repro.cache.replacement.spec import PolicySpec
 from repro.common.faults import fire_point
-from repro.common.trace import PackedTrace, TraceRecord
+from repro.common.trace import PackedTrace
 from repro.core.pipeline import CoDesignPipeline, PipelineOptions, PreparedWorkload
 from repro.experiments.store import (
     ResultStore,
@@ -80,15 +80,10 @@ class BenchmarkRunner:
     #: Optional persistent trace archive; a hit skips trace *generation*
     #: (the simulation still runs unless the result store also hits).
     trace_archive: Optional[TraceArchive] = None
-    #: Whether serial multi-policy stretches replay in lockstep (one trace
-    #: decode + front-of-pipe pass per workload instead of per policy);
-    #: results are bit-identical either way.
-    lockstep: bool = True
 
     def __post_init__(self) -> None:
         self.config.validate()
         self._prepared: dict[tuple, PreparedWorkload] = {}
-        self._traces: dict[tuple, tuple[list[TraceRecord], list[TraceRecord]]] = {}
         self._packed: dict[tuple, tuple[PackedTrace, PackedTrace]] = {}
         #: Simulations actually executed by this runner (store hits excluded).
         self.simulations_run = 0
@@ -123,25 +118,12 @@ class BenchmarkRunner:
             self._prepared[key] = pipeline.prepare(spec)
         return self._prepared[key]
 
-    def traces(
-        self, prepared: PreparedWorkload
-    ) -> tuple[list[TraceRecord], list[TraceRecord]]:
-        """(warm-up, measured) record lists for a prepared workload (cached)."""
-        key = (prepared.spec, prepared.options.cache_key())
-        if key not in self._traces:
-            generator = prepared.trace_generator(InputSet.EVALUATION)
-            warmup = generator.take(prepared.spec.warmup_instructions)
-            measured = generator.take(prepared.spec.eval_instructions)
-            self._traces[key] = (warmup, measured)
-        return self._traces[key]
-
     def packed_traces(
         self, prepared: PreparedWorkload
     ) -> tuple[PackedTrace, PackedTrace]:
         """(warm-up, measured) packed traces for a prepared workload (cached).
 
-        Emitted directly from the generator's column stream — the same
-        deterministic instruction sequence :meth:`traces` yields, without
+        Emitted directly from the generator's column stream, without
         allocating one ``TraceRecord`` per dynamic instruction.
 
         When the runner has a :class:`~repro.workloads.capture.TraceArchive`,

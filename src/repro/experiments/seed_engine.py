@@ -356,8 +356,9 @@ class SeedHierarchy(CacheHierarchy):
         line = config.line_size
         self.l1i = _build_seed_cache("L1I", config.l1i, line)
         self.l1d = _build_seed_cache("L1D", config.l1d, line)
-        self.l2 = _build_seed_cache("L2", config.l2, line)
-        self.slc = _build_seed_cache("SLC", config.slc, line)
+        # Through the shared system too, so reset() empties the seed caches.
+        self.l2 = self.shared.l2 = _build_seed_cache("L2", config.l2, line)
+        self.slc = self.shared.slc = _build_seed_cache("SLC", config.slc, line)
         self.l1i_prefetcher = _seed_prefetcher(
             config.l1i.prefetcher, **config.l1i.prefetcher_kwargs
         )

@@ -2,8 +2,8 @@
 
 The multi-core mode models a multiprogrammed workload: N independent
 per-core trace streams (any mix of workload families), each replayed by a
-private core + L1s, advanced in a deterministic round-robin interleave
-(:func:`repro.cpu.core.run_packed_interleaved`), all missing into *one*
+private core + L1s as its own one-core lane, the lanes taking deterministic
+round-robin turns (:func:`repro.cpu.core.run_lanes`), all missing into *one*
 shared L2/SLC instance (:class:`repro.cache.hierarchy.SharedCacheSystem`).
 There is no timing feedback between cores — contention is modelled through
 cache state (a co-runner's fills evict your lines), which is exactly the
@@ -23,13 +23,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.cache.hierarchy import CacheHierarchy, SharedCacheSystem
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import ConfigurationError
 from repro.common.temperature import Temperature
 from repro.common.trace import PackedTrace
 from repro.common.translation import AddressTranslator, IdentityTranslator
-from repro.cpu.core import CoreModel, CoreResult, run_packed_interleaved
+from repro.cpu.core import CoreModel, CoreResult, run_lanes
 from repro.sim.config import SimulatorConfig
 from repro.sim.results import SimulationResult
+from repro.sim.simulator import package_result
 
 #: Physical-address window shift per core: each core's translated addresses
 #: land in a disjoint 16 TiB window, far above any workload's footprint.
@@ -175,12 +176,11 @@ class MulticoreSimulator:
                     core=core_id,
                 )
             )
-        self._ran = False
 
     # ------------------------------------------------------------------- API
     def warm_up(self, traces: Sequence[PackedTrace]) -> list[CoreResult]:
         """Replay the warm-up window; results are normally discarded."""
-        return run_packed_interleaved(self.cores, traces, self.interleave)
+        return self._replay(traces)
 
     def run(
         self,
@@ -192,14 +192,22 @@ class MulticoreSimulator:
             for hierarchy in self.hierarchies:
                 hierarchy.reset_stats()
             self.shared.reset_sharing_stats()
-        core_results = run_packed_interleaved(self.cores, traces, self.interleave)
-        self._ran = True
-        return self.package(core_results)
+        return self.package(self._replay(traces))
+
+    def _replay(self, traces: Sequence[PackedTrace]) -> list[CoreResult]:
+        """One one-core lane per core, in turns of the interleave quanta."""
+        lanes = [
+            ((core,), trace)
+            for core, trace in zip(self.cores, traces, strict=True)
+        ]
+        return [result for (result,) in run_lanes(lanes, self.interleave)]
 
     def package(self, core_results: Sequence[CoreResult]) -> MulticoreResult:
         results = [
-            self._package_core(core_id, core_result)
-            for core_id, core_result in enumerate(core_results)
+            package_result(benchmark, self.config, hierarchy.stats, core_result)
+            for benchmark, hierarchy, core_result in zip(
+                self.benchmarks, self.hierarchies, core_results
+            )
         ]
         return MulticoreResult(
             cores=results,
@@ -209,36 +217,6 @@ class MulticoreSimulator:
                 sorted(self.shared.inter_core_evictions.items())
             ),
             evictions_caused=dict(sorted(self.shared.evictions_caused.items())),
-        )
-
-    def _package_core(
-        self, core_id: int, core_result: CoreResult
-    ) -> SimulationResult:
-        # Mirrors SystemSimulator._package over this core's private counters.
-        if core_result.instructions == 0:
-            raise SimulationError(
-                f"core {core_id}: measured trace window contained no instructions"
-            )
-        stats = self.hierarchies[core_id].stats
-        instructions = core_result.instructions
-        l1i_misses = stats.l1i_misses
-        return SimulationResult(
-            benchmark=self.benchmarks[core_id],
-            policy=self.config.l2_policy,
-            config_name=self.config.name,
-            instructions=instructions,
-            cycles=core_result.cycles,
-            ipc=core_result.ipc,
-            topdown=core_result.topdown,
-            l2_inst_misses=stats.l2_inst_misses,
-            l2_data_misses=stats.l2_data_misses,
-            l2_inst_mpki=stats.l2_inst_mpki(instructions),
-            l2_data_mpki=stats.l2_data_mpki(instructions),
-            l1i_mpki=1000.0 * l1i_misses / instructions if instructions else 0.0,
-            branch_mpki=core_result.branch_mpki,
-            dram_accesses=stats.dram_accesses,
-            line_stall_cycles=core_result.line_stall_cycles,
-            line_miss_counts=core_result.line_miss_counts,
         )
 
 

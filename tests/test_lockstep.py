@@ -15,6 +15,7 @@ import pytest
 from repro.api.scenario import Scenario
 from repro.api.session import Session
 from repro.core.pipeline import CoDesignPipeline
+from repro.cpu.core import run_lanes
 from repro.experiments.runner import BenchmarkRunner
 from repro.sim.config import SimulatorConfig
 from repro.sim.simulator import SystemSimulator, run_lockstep
@@ -74,8 +75,6 @@ class TestLockstepCore:
         assert_results_identical(result, _solo(prepared, traces, "srrip"))
 
     def test_mismatched_core_configuration_rejected(self, prepared, traces):
-        from repro.cpu.core import run_packed_lockstep
-
         config_a = SimulatorConfig.scaled()
         config_b = SimulatorConfig.scaled()
         config_b.core.dispatch_width = config_a.core.dispatch_width + 2
@@ -84,15 +83,13 @@ class TestLockstepCore:
             SystemSimulator(config_b, benchmark="b"),
         ]
         with pytest.raises(ValueError):
-            run_packed_lockstep(
-                [s.core for s in simulators], traces[1]
-            )
+            run_lanes([([s.core for s in simulators], traces[1])])
 
 
 class TestLockstepRunner:
     def test_runner_lockstep_matches_run_resolved(self):
         config = SimulatorConfig.scaled()
-        runner_solo = BenchmarkRunner(config=config, lockstep=False)
+        runner_solo = BenchmarkRunner(config=config)
         runner_lockstep = BenchmarkRunner(config=config)
         spec = runner_solo.resolve_spec("sqlite")
         artifacts = runner_lockstep.run_lockstep_resolved(spec, POLICIES)
@@ -117,7 +114,7 @@ class TestLockstepRunner:
         for a, b in zip(first, again):
             assert_results_identical(a.result, b.result)
         # And a solo run lands on the same store key.
-        runner_solo = BenchmarkRunner(config=config, store=store, lockstep=False)
+        runner_solo = BenchmarkRunner(config=config, store=store)
         solo = runner_solo.run_resolved(spec, "trrip-1")
         assert runner_solo.simulations_run == 0
         assert_results_identical(solo.result, first[POLICIES.index("trrip-1")].result)
@@ -125,12 +122,13 @@ class TestLockstepRunner:
     def test_serial_grid_uses_lockstep_and_matches(self):
         config = SimulatorConfig.scaled()
         grid_runner = BenchmarkRunner(config=config)
-        solo_runner = BenchmarkRunner(config=config, lockstep=False)
+        solo_runner = BenchmarkRunner(config=config)
+        spec = solo_runner.resolve_spec("sqlite")
         grid = grid_runner.run_grid(("sqlite",), POLICIES)
-        solo = solo_runner.run_grid(("sqlite",), POLICIES)
-        assert [(b, p) for b, p, _ in grid] == [(b, p) for b, p, _ in solo]
-        for (_, _, a), (_, _, b) in zip(grid, solo):
-            assert_results_identical(a, b)
+        assert [(b, p) for b, p, _ in grid] == [(spec.name, p) for p in POLICIES]
+        for _, policy, result in grid:
+            solo = solo_runner.run_resolved(spec, policy).result
+            assert_results_identical(result, solo)
 
 
 class TestLockstepSession:
@@ -138,13 +136,16 @@ class TestLockstepSession:
         config = SimulatorConfig.scaled()
         session = Session(config=config)
         scenario = Scenario(benchmarks="sqlite", policies=POLICIES)
-        grouped = session.run(scenario)
+        plan = session.plan(scenario)
+        assert session._units(plan.unique) == [list(range(len(POLICIES)))]
+        grouped = session.execute(plan)
         assert session.simulations_run == len(POLICIES)
 
-        solo_session = Session(config=config, lockstep=False)
-        solo = solo_session.run(scenario)
-        for a, b in zip(grouped, solo):
-            assert_results_identical(a.result, b.result)
+        solo_runner = BenchmarkRunner(config=config)
+        spec = solo_runner.resolve_spec("sqlite")
+        for policy, artifacts in zip(POLICIES, grouped):
+            solo = solo_runner.run_resolved(spec, policy).result
+            assert_results_identical(artifacts.result, solo)
 
     def test_reuse_tracking_points_run_solo(self):
         config = SimulatorConfig.scaled()
@@ -159,8 +160,6 @@ class TestLockstepSession:
 def test_mismatched_branch_geometry_rejected(prepared, traces):
     """Branch outcomes are computed once on the lead core's unit, so any
     difference in predictor geometry must be rejected, not silently absorbed."""
-    from repro.cpu.core import run_packed_lockstep
-
     config_a = SimulatorConfig.scaled()
     config_b = SimulatorConfig.scaled()
     config_b.core.branch.history_bits = 4
@@ -169,4 +168,4 @@ def test_mismatched_branch_geometry_rejected(prepared, traces):
         SystemSimulator(config_b, benchmark="b"),
     ]
     with pytest.raises(ValueError):
-        run_packed_lockstep([s.core for s in simulators], traces[1])
+        run_lanes([([s.core for s in simulators], traces[1])])

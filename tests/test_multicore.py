@@ -26,7 +26,11 @@ from repro.experiments.interference import format_interference, run_interference
 from repro.experiments.store import multicore_run_key
 from repro.server.submission import parse_submission
 from repro.sim.config import SimulatorConfig
-from repro.sim.multicore import MulticoreResult, normalize_interleave
+from repro.sim.multicore import (
+    MulticoreResult,
+    MulticoreSimulator,
+    normalize_interleave,
+)
 from repro.testing import make_session
 from repro.workloads.spec import tiny_spec
 
@@ -120,6 +124,66 @@ class TestSharedCache:
             isolated.total_inter_core_evictions
             < shared.total_inter_core_evictions
         )
+
+    @pytest.mark.parametrize(
+        "interleave, cycles, evictions, occupancy",
+        [
+            (
+                (),
+                [35415.066666666644, 41127.49166666663],
+                {0: 67, 1: 49},
+                {0: 239, 1: 264},
+            ),
+            (
+                (3, 1),
+                [34771.441666666644, 41187.49166666663],
+                {0: 90, 1: 14},
+                {0: 208, 1: 295},
+            ),
+        ],
+        ids=["round-robin", "3:1"],
+    )
+    def test_two_core_interleave_is_pinned(
+        self, tiny_session, interleave, cycles, evictions, occupancy
+    ):
+        # Exact values: a changed turn order or shared-walk transition moves
+        # at least one of them.
+        result = run_cores(tiny_session, CONTENDERS, interleave=interleave)
+        assert [core.cycles for core in result.cores] == cycles
+        assert result.inter_core_evictions == evictions
+        assert result.occupancy == occupancy
+
+    def test_occupancy_matches_l2_contents_through_reset(self, tiny_session):
+        [request] = tiny_session.plan(
+            Scenario(cores=CONTENDERS, policies=("lru",))
+        ).requests
+        runner = tiny_session.runner
+        prepared = [runner.prepare(spec) for spec in request.cores]
+        traces = [runner.packed_traces(workload) for workload in prepared]
+        simulator = MulticoreSimulator(
+            request.config.with_l2_policy("lru"),
+            [workload.mmu() for workload in prepared],
+            [workload.spec.name for workload in prepared],
+        )
+        simulator.warm_up([warmup for warmup, _ in traces])
+        result = simulator.run([measured for _, measured in traces])
+        assert result.total_inter_core_evictions > 0
+        shared = simulator.shared
+        l2 = shared.l2
+
+        def valid_lines() -> int:
+            return sum(
+                block.valid
+                for set_index in range(l2.num_sets)
+                for block in l2.blocks_in_set(set_index)
+            )
+
+        assert sum(shared.occupancy().values()) == valid_lines() > 0
+        for hierarchy in simulator.hierarchies:
+            hierarchy.reset()
+        assert sum(shared.occupancy().values()) == valid_lines() == 0
+        assert shared.inter_core_evictions == {0: 0, 1: 0}
+        assert shared.evictions_caused == {0: 0, 1: 0}
 
     def test_multicore_result_round_trips_through_dict(self, tiny_session):
         result = run_cores(tiny_session, (tiny_spec(), tiny_spec()))

@@ -1,9 +1,9 @@
 """Packed vs record replay: the bit-identity differential harness.
 
-The core replays a :class:`~repro.common.trace.PackedTrace` through its
-column-oriented hot loop (:meth:`repro.cpu.core.CoreModel.run_packed`) and
-a plain record stream through the record-at-a-time loop.  The two must be
-**bit-identical**: same :class:`SimulationResult` (cycles, Top-Down floats,
+The core replays a :class:`~repro.common.trace.PackedTrace` through the
+lane loop (:func:`repro.cpu.core.run_lanes`) and a plain record stream
+through the record-at-a-time loop of :meth:`repro.cpu.core.CoreModel.run`.
+The two must be **bit-identical**: same :class:`SimulationResult` (cycles, Top-Down floats,
 MPKI, per-line stall dicts), same cache columns, same residency dicts, same
 replacement-policy state, same RNG state.
 
