@@ -112,6 +112,11 @@ class Session:
             return session
         return cls(config=config, store=store, jobs=jobs)
 
+    def fresh(self) -> "Session":
+        """This session's settings, store and archive, without its engine
+        caches (prepared workloads, packed traces)."""
+        return Session(self.config, self.store, self.options, self.jobs, self.traces)
+
     # ---------------------------------------------------------------- engines
     @staticmethod
     def _runner_key(config: SimulatorConfig, options: PipelineOptions) -> tuple:
@@ -298,7 +303,8 @@ class Session:
                     runs[index] = run
         return runs
 
-    def _units(self, requests: Sequence[RunRequest]) -> list[list[int]]:
+    @staticmethod
+    def _units(requests: Sequence[RunRequest]) -> list[list[int]]:
         """Request positions grouped into execution units.
 
         Requests that share (workload, config, pipeline options) and differ
@@ -447,8 +453,8 @@ class Session:
 
         The grid is expanded into a hashed
         :class:`~repro.experiments.sweep.SweepManifest`; units already in
-        the result store are served from it, the rest run in supervised
-        worker processes with the given
+        the result store are served from it, the rest run as one lockstep
+        task per workload in supervised worker processes with the given
         :class:`~repro.experiments.supervisor.SupervisionPolicy` (retries,
         timeouts, backoff), journalled to
         ``<store>/journals/<manifest>.jsonl``.  ``resume=True`` requires a
@@ -478,8 +484,8 @@ class Session:
         )
 
 
-#: Per-worker-process session, built once by the pool initializer so a
-#: worker running several tasks reuses its engines.
+#: Per-worker-process session holding the worker's store and archive,
+#: built once by the pool initializer; each task runs in a fresh copy.
 _TASK_SESSION: Optional[Session] = None
 
 
@@ -491,16 +497,21 @@ def _init_task_worker(config, store, options, traces) -> None:
 
 
 def _run_task(units: list[list[RunRequest]], attempt: int = 1) -> tuple:
-    """(per-unit ``StoredRun`` lists, simulations executed, store counter
-    deltas, trace-archive counter deltas) of one task in a pool worker."""
+    """Run one task of the executor or of ``repro sweep`` in a pool worker.
+
+    Returns (per-unit ``StoredRun`` lists, simulations executed, store
+    counter deltas, trace-archive counter deltas).  The task runs in a fresh
+    session over the worker's store and archive, so its prepared workloads
+    and packed traces are freed when it returns; tasks are workload-affine,
+    so no later task would have reused them.
+    """
     from repro.experiments.runner import _counter_delta, _counter_state
     from repro.experiments.store import StoredRun
 
-    session = _TASK_SESSION
-    assert session is not None, "worker initializer did not run"
+    assert _TASK_SESSION is not None, "worker initializer did not run"
+    session = _TASK_SESSION.fresh()
     store_before = _counter_state(session.store)
     trace_before = _counter_state(session.traces)
-    simulated_before = session.simulations_run
     runs = [
         [
             StoredRun.from_tracker(run.result, run.reuse)
@@ -510,7 +521,7 @@ def _run_task(units: list[list[RunRequest]], attempt: int = 1) -> tuple:
     ]
     return (
         runs,
-        session.simulations_run - simulated_before,
+        session.simulations_run,
         _counter_delta(store_before, _counter_state(session.store)),
         _counter_delta(trace_before, _counter_state(session.traces)),
     )

@@ -204,15 +204,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_run_options(
         sweep_parser,
-        jobs_default=None,
-        jobs_help="supervised worker processes (0 = every usable CPU; "
-        "default: 1)",
+        jobs_default=0,
+        jobs_help="supervised worker processes (default: 0 = every usable "
+        "CPU, capped by the workloads left to simulate); every workload's "
+        "pending points run as one lockstep task, in a worker even with 1",
     )
     fault_group = sweep_parser.add_argument_group(
         "fault tolerance",
         "sweeps are checkpointed: every finished unit is durable in the "
         "result store and journalled under <store>/journals/, so an "
-        "interrupted sweep picks up where it left off with --resume",
+        "interrupted sweep picks up where it left off with --resume; a "
+        "workload's pending units fail, time out and retry as one task",
     )
     fault_group.add_argument(
         "--resume",
@@ -225,16 +227,17 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="retries per unit after a worker error/crash/timeout "
-        "(default: 1)",
+        help="retries per task after a worker error/crash/timeout, so each "
+        "unit runs at most 1 + N times (default: 1)",
     )
     fault_group.add_argument(
         "--unit-timeout",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="wall-clock budget per unit attempt; an overdue worker is "
-        "killed and the unit retried (default: unlimited)",
+        help="wall-clock budget per unit; a task of k units gets k times "
+        "it per attempt, and an overdue worker is killed and the task "
+        "retried (default: unlimited)",
     )
     fault_group.add_argument(
         "--retry-backoff",
@@ -247,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     fault_group.add_argument(
         "--keep-going",
         action="store_true",
-        help="after a unit exhausts its retries, finish the remaining units "
+        help="after a task exhausts its retries, finish the remaining tasks "
         "and report the partial failure (exit 1) instead of stopping",
     )
 

@@ -31,7 +31,6 @@ from typing import Optional, Sequence
 
 from repro.analysis.reuse import ReuseDistanceTracker
 from repro.cache.replacement.spec import PolicySpec
-from repro.common.faults import fire_point
 from repro.common.trace import PackedTrace
 from repro.core.pipeline import CoDesignPipeline, PipelineOptions, PreparedWorkload
 from repro.experiments.store import (
@@ -484,27 +483,6 @@ class BenchmarkRunner:
         ]
 
 
-#: Per-worker-process runner of a checkpointed sweep, built once by the pool
-#: initializer so that a worker handling several units of the same benchmark
-#: reuses its prepared workload and packed traces.
-_GRID_RUNNER: Optional[BenchmarkRunner] = None
-
-
-def _init_grid_worker(
-    config: SimulatorConfig,
-    pipeline_options: PipelineOptions,
-    store: Optional[ResultStore] = None,
-    trace_archive: Optional[TraceArchive] = None,
-) -> None:
-    global _GRID_RUNNER
-    _GRID_RUNNER = BenchmarkRunner(
-        config=config,
-        pipeline_options=pipeline_options,
-        store=store,
-        trace_archive=trace_archive,
-    )
-
-
 def _counter_state(tracker) -> tuple[int, int, int, int]:
     """(hits, misses, writes, corrupt) of a store/archive, ``(0,0,0,0)`` for
     ``None``."""
@@ -517,28 +495,3 @@ def _counter_delta(
     before: tuple[int, int, int, int], after: tuple[int, int, int, int]
 ) -> tuple[int, int, int, int]:
     return tuple(now - then for now, then in zip(after, before))
-
-
-def _run_sweep_unit(
-    payload: tuple[int, WorkloadSpec, PolicySpec], attempt: int = 1
-) -> tuple[SimulationResult, int, tuple, tuple]:
-    """Execute one checkpointed sweep unit in a supervised worker.
-
-    Returns (result, simulations executed, store counter deltas,
-    trace-archive counter deltas).  The ``sweep.unit`` failure point fires
-    *before* any work, keyed by the unit's manifest index, so chaos runs can
-    target one exact unit deterministically across any worker layout.
-    """
-    index, spec, policy = payload
-    assert _GRID_RUNNER is not None, "worker initializer did not run"
-    fire_point("sweep.unit", index, attempt)
-    store_before = _counter_state(_GRID_RUNNER.store)
-    trace_before = _counter_state(_GRID_RUNNER.trace_archive)
-    simulated_before = _GRID_RUNNER.simulations_run
-    result = _GRID_RUNNER.run_resolved(spec, policy).result
-    return (
-        result,
-        _GRID_RUNNER.simulations_run - simulated_before,
-        _counter_delta(store_before, _counter_state(_GRID_RUNNER.store)),
-        _counter_delta(trace_before, _counter_state(_GRID_RUNNER.trace_archive)),
-    )

@@ -12,8 +12,9 @@ supervisor:
 * every worker is a directly-owned :class:`multiprocessing.Process` with a
   private task pipe, so the supervisor always knows *which* unit a worker is
   running and can kill precisely that worker;
-* each unit gets a wall-clock **timeout** (``unit_timeout``) — an overdue
-  worker is terminated and the unit retried on a fresh worker;
+* each unit gets a wall-clock **timeout** (``unit_timeout`` times the
+  unit's cost, 1 unless the caller weighs it) — an overdue worker is
+  terminated and the unit retried on a fresh worker;
 * failed attempts are retried up to ``max_retries`` times with
   deterministic **exponential backoff + jitter** (seeded, so reports are
   reproducible);
@@ -97,7 +98,8 @@ class SupervisionPolicy:
     #: Retries after the first attempt (a unit runs at most ``1 + max_retries``
     #: times).
     max_retries: int = 1
-    #: Wall-clock seconds a single attempt may take; ``None`` = unlimited.
+    #: Wall-clock seconds a single attempt may take per unit of its cost
+    #: (see :meth:`SupervisedPool.run`); ``None`` = unlimited.
     unit_timeout: Optional[float] = None
     #: First retry waits ~``backoff_base`` seconds, growing by
     #: ``backoff_factor`` per attempt, capped at ``backoff_max``.
@@ -317,15 +319,23 @@ class SupervisedPool:
         #: Available to callers even when run() raises (partial fold-back).
         self.outcomes: list[UnitOutcome] = []
         self.report: Optional[PoolReport] = None
+        self._costs: list[float] = []
         #: Workers that died before becoming ready, in a row; a small cap
         #: turns a broken initializer into an error instead of a spawn storm.
         self._init_failures = 0
         self._last_init_error = ""
 
     # ------------------------------------------------------------ lifecycle
-    def run(self, payloads: Sequence[Any]) -> PoolReport:
-        """Execute every payload; returns when all are done/failed/not-run."""
+    def run(
+        self, payloads: Sequence[Any], costs: Optional[Sequence[float]] = None
+    ) -> PoolReport:
+        """Execute every payload; returns when all are done/failed/not-run.
+
+        ``costs[i]`` scales the policy's ``unit_timeout`` for payload ``i``
+        (default 1 each): a task bundling k points may run k times as long.
+        """
         payloads = list(payloads)
+        self._costs = list(costs) if costs is not None else [1] * len(payloads)
         self.outcomes = [UnitOutcome(index=i) for i in range(len(payloads))]
         self.report = PoolReport(outcomes=self.outcomes)
         if not payloads:
@@ -400,7 +410,7 @@ class SupervisedPool:
             _, position, attempt = heapq.heappop(pending)
             worker = idle.pop()
             deadline = (
-                now + self.policy.unit_timeout
+                now + self.policy.unit_timeout * self._costs[position]
                 if self.policy.unit_timeout is not None
                 else None
             )
@@ -488,7 +498,7 @@ class SupervisedPool:
             return
         now = time.monotonic()
         for worker in list(self._busy()):
-            position, attempt, _, deadline = worker.running
+            position, attempt, started, deadline = worker.running
             if deadline is None or now <= deadline:
                 continue
             self._retire(worker, terminate=True)
@@ -498,7 +508,7 @@ class SupervisedPool:
                 attempt,
                 worker.id,
                 "timeout",
-                f"unit exceeded the {self.policy.unit_timeout:g}s wall-clock "
+                f"unit exceeded its {deadline - started:g}s wall-clock "
                 "timeout and its worker was killed",
                 None,
             )

@@ -18,11 +18,18 @@ execution layer** behind ``repro sweep``:
   every unit state transition (running/done/failed, attempt count, worker
   id, duration) and tolerates a torn final line, so any crash leaves a
   readable history;
-* :func:`execute_checkpointed` runs the pending units through a
+* :func:`execute_checkpointed` runs the pending units as one lockstep task
+  per workload on the session executor's worker, through a
   :class:`~repro.experiments.supervisor.SupervisedPool` (timeouts, retries
-  with backoff, crash isolation) and returns a :class:`CheckpointedSweep` —
+  with backoff, crash isolation), and returns a :class:`CheckpointedSweep` —
   the sweep plus a structured :class:`SweepExecutionReport` instead of a
   mid-flight traceback.
+
+The journal and the report count units, but the **task fails as one**: a
+fault on one unit fails its workload's task and every unit in it is
+retried, failed or left not run; ``max_retries`` counts task attempts (each
+unit still runs at most ``1 + max_retries`` times) and ``unit_timeout`` is
+seconds per unit, so a task of k units gets k times the budget.
 
 Resumability falls out of content addressing: a finished unit is durable in
 the result store under its hash, so ``repro sweep --resume`` simply re-plans
@@ -37,6 +44,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.api.scenario import RunRequest
+from repro.api.session import Session, _init_task_worker, _run_task
 from repro.cache.replacement.spec import PolicySpec
 from repro.common.errors import (
     ConfigurationError,
@@ -47,8 +56,7 @@ from repro.common.faults import fire_point
 from repro.common.hashing import stable_hash
 from repro.common.journal import AppendOnlyJournal
 from repro.core.pipeline import PipelineOptions
-from repro.experiments.runner import BenchmarkRunner, _run_sweep_unit
-from repro.experiments.store import run_key
+from repro.experiments.runner import BenchmarkRunner
 from repro.experiments.supervisor import (
     SupervisedPool,
     SupervisionPolicy,
@@ -130,8 +138,6 @@ def run_policy_sweep(
     are identical — including iteration order of the nested result dicts —
     for any ``jobs`` value.
     """
-    from repro.api.session import Session
-
     session = Session.ensure(session, runner=runner, config=config)
     return session.sweep(
         benchmarks=benchmarks,
@@ -157,8 +163,8 @@ class SweepUnit:
     policy: str
     #: Result-store content hash of this run — the durability token.
     key: str
-    spec: WorkloadSpec
-    policy_spec: PolicySpec
+    #: The session executor's request for this run (``key`` identifies it).
+    request: RunRequest = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -208,15 +214,16 @@ def build_manifest(
     units = []
     for spec in specs:
         for policy in ordered:
-            unit_config = run_config.with_l2_policy(policy)
+            request = RunRequest(
+                spec=spec, policy=policy, config=run_config, options=run_options
+            )
             units.append(
                 SweepUnit(
                     index=len(units),
                     benchmark=spec.name,
                     policy=policy.canonical(),
-                    key=run_key(spec, policy, unit_config, run_options),
-                    spec=spec,
-                    policy_spec=policy,
+                    key=request.store_key(),
+                    request=request,
                 )
             )
     manifest_key = stable_hash(
@@ -380,11 +387,13 @@ def execute_checkpointed(
 ) -> CheckpointedSweep:
     """Execute a sweep manifest fault-tolerantly (see module docstring).
 
-    Every pending unit runs in a supervised worker process — even with
-    ``jobs=1`` — so a crash, hang or injected fault can never take the
-    parent down.  Completed units are immediately durable (store write +
-    journal line + counter fold-back), which is what makes interruption at
-    *any* point recoverable with ``resume=True``.
+    The pending units run as one lockstep task per workload in supervised
+    worker processes — even with ``jobs=1`` — so a crash, hang or injected
+    fault can never take the parent down.  ``jobs`` is the worker count
+    (``None``/1 = one, 0 = every usable CPU, N = at most N), capped by the
+    task count.  A completed task's units are immediately durable (store
+    writes + one journal line each + counter fold-back), which is what makes
+    interruption at *any* point recoverable with ``resume=True``.
 
     This function does not raise for unit failures or interruptions; it
     reports them structurally in :attr:`CheckpointedSweep.report`.  Callers
@@ -471,47 +480,43 @@ def _execute_pending(
     jobs: Optional[int],
     supervision: SupervisionPolicy,
 ) -> None:
-    """Run the pending units through a supervised pool, checkpointing each."""
-    workers = worker_count(jobs, len(pending))
+    """Run the pending units as per-workload tasks on a supervised pool,
+    checkpointing each unit as its task completes."""
+    groups = Session._units([unit.request for unit in pending])
+    tasks = [[pending[position] for position in group] for group in groups]
     completed = 0
 
+    def record(event: str, task: list[SweepUnit], **fields) -> None:
+        for unit in task:
+            journal.record(event, unit=unit.index, key=unit.key, **fields)
+
     def on_start(position: int, attempt: int, worker_id: int) -> None:
-        unit = pending[position]
-        journal.record(
-            "running",
-            unit=unit.index,
-            key=unit.key,
-            attempt=attempt,
-            worker=worker_id,
-        )
+        record("running", tasks[position], attempt=attempt, worker=worker_id)
 
     def on_result(position, attempt, worker_id, duration, value) -> None:
         nonlocal completed
-        unit = pending[position]
-        result, simulated, store_delta, trace_delta = value
+        [runs], simulated, store_delta, trace_delta = value
         # Fold + record *before* the failure point below: a completed unit
         # is durable and visible even when the sweep is interrupted right
         # after it.
         runner.fold_worker_counters(simulated, store_delta, trace_delta)
-        results[unit.index] = result
-        journal.record(
-            "done",
-            unit=unit.index,
-            key=unit.key,
-            attempt=attempt,
-            worker=worker_id,
-            duration=round(duration, 6),
-            simulated=simulated,
-        )
-        completed += 1
-        fire_point("sweep.completed", completed)
+        for unit, run in zip(tasks[position], runs):
+            results[unit.index] = run.result
+            record(
+                "done",
+                [unit],
+                attempt=attempt,
+                worker=worker_id,
+                duration=round(duration, 6),
+                simulated=simulated,
+            )
+            completed += 1
+            fire_point("sweep.completed", completed)
 
     def on_retry(position, attempt, worker_id, kind, message, delay) -> None:
-        unit = pending[position]
-        journal.record(
+        record(
             "retry",
-            unit=unit.index,
-            key=unit.key,
+            tasks[position],
             attempt=attempt,
             worker=worker_id,
             kind=kind,
@@ -520,16 +525,10 @@ def _execute_pending(
         )
 
     def on_failed(position, attempts, kind, message) -> None:
-        unit = pending[position]
-        journal.record(
-            "failed",
-            unit=unit.index,
-            key=unit.key,
-            attempts=attempts,
-            kind=kind,
-            message=message,
+        record(
+            "failed", tasks[position], attempts=attempts, kind=kind, message=message
         )
-        report.failures.append(
+        report.failures.extend(
             SweepUnitFailure(
                 index=unit.index,
                 benchmark=unit.benchmark,
@@ -539,16 +538,17 @@ def _execute_pending(
                 kind=kind,
                 message=message,
             )
+            for unit in tasks[position]
         )
 
     pool = SupervisedPool(
         _run_sweep_unit,
-        workers=workers,
-        initializer=_init_sweep_worker,
+        workers=worker_count(jobs, len(tasks)),
+        initializer=_init_task_worker,
         initargs=(
             runner.config,
-            runner.pipeline_options,
             runner.store,
+            runner.pipeline_options,
             runner.trace_archive,
         ),
         policy=supervision,
@@ -557,27 +557,41 @@ def _execute_pending(
         on_retry=on_retry,
         on_failed=on_failed,
     )
-    payloads = [(unit.index, unit.spec, unit.policy_spec) for unit in pending]
+    payloads = [
+        ([unit.index for unit in task], [[unit.request for unit in task]])
+        for task in tasks
+    ]
     try:
-        pool.run(payloads)
+        pool.run(payloads, costs=[len(task) for task in tasks])
     except SweepInterrupted:
         report.interrupted = True
     finally:
-        for outcome in pool.outcomes:
+        for task, outcome in zip(tasks, pool.outcomes):
             if outcome.attempts > 0:
-                report.attempted += 1
+                report.attempted += len(task)
             if outcome.attempts > 1:
-                report.retried += 1
+                report.retried += len(task)
             if outcome.status == "done":
-                report.succeeded += 1
+                report.succeeded += len(task)
             elif outcome.status == "failed":
-                report.failed += 1
+                report.failed += len(task)
         if pool.report is not None:
             report.backoff_total += pool.report.backoff_total
 
 
-def _init_sweep_worker(config, pipeline_options, store, trace_archive) -> None:
-    """Sweep workers are grid workers: same per-process engine runner."""
-    from repro.experiments.runner import _init_grid_worker
+def _run_sweep_unit(
+    payload: tuple[list[int], list[list[RunRequest]]], attempt: int = 1
+) -> tuple:
+    """Run one sweep task — one workload's pending units — in a pool worker.
 
-    _init_grid_worker(config, pipeline_options, store, trace_archive)
+    The ``sweep.unit`` failure point fires for every member, keyed by its
+    manifest index, *before* any work, so chaos runs can target one exact
+    unit deterministically across any worker layout — and a fault on one
+    unit fails its whole task.  The task then runs through the session
+    executor's worker (:func:`~repro.api.session._run_task`), whose result
+    tuple it returns.
+    """
+    indices, units = payload
+    for index in indices:
+        fire_point("sweep.unit", index, attempt)
+    return _run_task(units, attempt)

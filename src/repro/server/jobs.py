@@ -42,7 +42,8 @@ collaborators extend the manager's guarantees across crashes and replicas:
   whose owner died is **adopted** after the TTL lapses.
 
 Worker threads each own a private session (sessions are not thread-safe;
-the shared state is the on-disk store, which is).  Fault injection
+the shared state is the on-disk store, which is) and run every job in a
+fresh session over its store and archive instances.  Fault injection
 (``REPRO_FAULTS``) is wired into the execution path via the ``serve.job``
 failure point (plus ``serve.journal`` at admission and ``serve.claim``
 before claim acquisition): an injected raise/ENOSPC/abort during a served
@@ -567,10 +568,11 @@ class JobManager:
 
         Store keys are recomputed by the engine exactly as for a direct CLI
         run, so a served result and a ``repro run``/``repro sweep`` of the
-        same point are literally the same store entry.
+        same point are literally the same store entry.  A fresh session
+        frees the job's prepared workloads and packed traces when it ends.
         """
         plan = parsed.plan
-        artifacts = session.execute(plan)
+        artifacts = session.fresh().execute(plan)
         results = []
         for request, arts, key in zip(plan.requests, artifacts, parsed.run_keys):
             entry = {

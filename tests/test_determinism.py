@@ -171,6 +171,36 @@ class TestParallelSweepDeterminism:
                 ]
         assert _store_bytes(tmp_path / "jobs1") == _store_bytes(tmp_path / "jobs2")
 
+    def test_checkpointed_sweep_matches_serial(self, tmp_path, monkeypatch):
+        """``repro sweep``'s per-workload tasks on two workers give the
+        one-worker results and store bytes."""
+        workers = []
+        start = SupervisedPool.run
+        monkeypatch.setattr(
+            SupervisedPool,
+            "run",
+            lambda pool, tasks, **kw: workers.append(pool.workers)
+            or start(pool, tasks, **kw),
+        )
+        sweeps = {}
+        for jobs in (1, 2):
+            store = ResultStore(tmp_path / f"jobs{jobs}", backend="dir")
+            session = Session(config=SimulatorConfig.scaled(), store=store)
+            checkpointed = session.sweep_checkpointed(
+                benchmarks=WORKLOADS, policies=("lru", "trrip-1"), jobs=jobs
+            )
+            assert checkpointed.report.complete
+            sweeps[jobs] = checkpointed.sweep
+        assert workers == [1, 2]
+        assert sweeps[1].benchmarks == sweeps[2].benchmarks
+        for benchmark in sweeps[1].benchmarks:
+            serial = sweeps[1].results[benchmark]
+            pooled = sweeps[2].results[benchmark]
+            assert list(serial) == list(pooled)
+            for policy in serial:
+                assert serial[policy].to_dict() == pooled[policy].to_dict()
+        assert _store_bytes(tmp_path / "jobs1") == _store_bytes(tmp_path / "jobs2")
+
     def test_sweep_ordering_is_benchmark_major(self):
         sweep = run_policy_sweep(
             benchmarks=("sqlite",), policies=("lru",), jobs=None

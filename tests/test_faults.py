@@ -143,6 +143,11 @@ def _hang_first(payload, attempt):
     return payload
 
 
+def _sleep(payload, attempt):
+    time.sleep(payload)
+    return payload
+
+
 _FAST = dict(backoff_base=0.0, backoff_jitter=0.0)
 
 
@@ -208,6 +213,18 @@ class TestSupervisedPool:
         assert report.values() == [7]
         assert report.outcomes[0].failures[0].kind == "timeout"
         assert time.monotonic() - started < 10  # nowhere near the 30s hang
+
+    def test_timeout_scales_with_task_cost(self):
+        # Both tasks run for 2 x unit_timeout: within the budget of a task
+        # of cost 3, over that of a task of cost 1.
+        policy = SupervisionPolicy(
+            max_retries=0, unit_timeout=0.5, keep_going=True, **_FAST
+        )
+        pool = SupervisedPool(_sleep, workers=2, policy=policy)
+        report = pool.run([1.0, 1.0], costs=[3, 1])
+        assert report.outcomes[0].status == "done"
+        assert report.outcomes[1].status == "failed"
+        assert [f.kind for f in report.outcomes[1].failures] == ["timeout"]
 
     def test_fail_fast_aborts_remaining_units(self):
         policy = SupervisionPolicy(max_retries=0, keep_going=False, **_FAST)
@@ -298,9 +315,18 @@ class TestManifest:
 # ============================================================ CLI chaos runs
 SWEEP = ["sweep", "--tiny", "--policies", "lru,trrip-1"]
 
+#: Two workloads x three policies: six units (0-2 tiny, 3-5 zipf) in two
+#: tasks, one per workload, run one after the other by one worker.
+GRID = SWEEP + [
+    "--spec",
+    "zipf:alpha=1.2,instructions=6000,warmup=2000",
+    "--jobs",
+    "1",
+]
 
-def _sweep_args(tmp_path, name, *extra):
-    return SWEEP + [
+
+def _sweep_args(tmp_path, name, *extra, grid=SWEEP):
+    return grid + [
         "--store",
         str(tmp_path / name / "store"),
         "--trace-dir",
@@ -322,26 +348,26 @@ class TestResumeSemantics:
         self, tmp_path, monkeypatch, capsys
     ):
         # Reference: one uninterrupted run.
-        assert main(_sweep_args(tmp_path, "clean")) == 0
+        assert main(_sweep_args(tmp_path, "clean", grid=GRID)) == 0
         clean_out = capsys.readouterr().out
 
-        # Interrupt after 2 of 3 units have completed.
-        monkeypatch.setenv(REPRO_FAULTS_ENV, "sweep.completed:2=abort")
-        assert main(_sweep_args(tmp_path, "chaos")) == 1
+        # Interrupt after the first task's 3 of 6 units have completed.
+        monkeypatch.setenv(REPRO_FAULTS_ENV, "sweep.completed:3=abort")
+        assert main(_sweep_args(tmp_path, "chaos", grid=GRID)) == 1
         captured = capsys.readouterr()
         # Diagnostics (summary, cache counters, resume hint) all go to
         # stderr; stdout stays clean for machine-readable output.
         assert captured.out == ""
         assert "[interrupted]" in captured.err
         assert "--resume" in captured.err
-        assert len(_store_bytes(tmp_path, "chaos")) == 2  # durable progress
+        assert len(_store_bytes(tmp_path, "chaos")) == 3  # durable progress
 
-        # Resume executes exactly the one missing unit: M - N simulations.
+        # Resume executes exactly the missing units: M - N simulations.
         monkeypatch.delenv(REPRO_FAULTS_ENV)
-        assert main(_sweep_args(tmp_path, "chaos", "--resume")) == 0
+        assert main(_sweep_args(tmp_path, "chaos", "--resume", grid=GRID)) == 0
         resumed_out = capsys.readouterr().out
-        assert "# 1 simulation(s) run, 2 served from cache" in resumed_out
-        assert "2 resumed" in resumed_out
+        assert "# 3 simulation(s) run, 3 served from cache" in resumed_out
+        assert "3 resumed" in resumed_out
 
         # Store entries are byte-identical to the uninterrupted run's.
         assert _store_bytes(tmp_path, "chaos") == _store_bytes(tmp_path, "clean")
@@ -360,16 +386,18 @@ class TestResumeSemantics:
     def test_killed_worker_is_retried_and_sweep_succeeds(
         self, tmp_path, monkeypatch, capsys
     ):
+        # Killing unit 1's worker fails its whole task: units 0-2 retry.
         monkeypatch.setenv(REPRO_FAULTS_ENV, "sweep.unit:1=kill")
-        args = _sweep_args(tmp_path, "kill", "--retry-backoff", "0.01")
+        args = _sweep_args(tmp_path, "kill", "--retry-backoff", "0.01", grid=GRID)
         assert main(args) == 0
         out = capsys.readouterr().out
-        assert "1 retried" in out
+        assert "3 retried" in out
         assert "0 failed" in out
         journal = next((tmp_path / "kill" / "store" / "journals").glob("*.jsonl"))
         events = [json.loads(line) for line in journal.read_text().splitlines()]
         retries = [event for event in events if event["event"] == "retry"]
-        assert retries and retries[0]["kind"] == "crash"
+        assert [event["unit"] for event in retries] == [0, 1, 2]
+        assert {event["kind"] for event in retries} == {"crash"}
 
     def test_corrupted_entry_is_requarried_on_resume(
         self, tmp_path, monkeypatch, capsys
@@ -397,6 +425,7 @@ class TestResumeSemantics:
 
 class TestDegradedSweeps:
     def test_hung_unit_is_killed_and_retried(self, tmp_path, monkeypatch, capsys):
+        # Unit 0's task of 3 units gets 3 x 1.5 s before its worker dies.
         monkeypatch.setenv(REPRO_FAULTS_ENV, "sweep.unit:0=hang:30")
         args = _sweep_args(
             tmp_path,
@@ -405,21 +434,23 @@ class TestDegradedSweeps:
             "1.5",
             "--retry-backoff",
             "0.01",
+            grid=GRID,
         )
         started = time.monotonic()
         assert main(args) == 0
         assert time.monotonic() - started < 20
-        assert "1 retried" in capsys.readouterr().out
+        assert "3 retried" in capsys.readouterr().out
         journal = next((tmp_path / "hang" / "store" / "journals").glob("*.jsonl"))
         events = [json.loads(line) for line in journal.read_text().splitlines()]
         kinds = [event["kind"] for event in events if event["event"] == "retry"]
-        assert kinds == ["timeout"]
+        assert kinds == ["timeout"] * 3
 
     def test_exhausted_retries_keep_going_partial_failure(
         self, tmp_path, monkeypatch, capsys
     ):
-        # This unit fails on every attempt; the sweep must finish the rest
-        # and report a structured partial failure, not raise mid-flight.
+        # This unit fails on every attempt, and with it its task; the sweep
+        # must finish the other task and report a structured partial
+        # failure, not raise mid-flight.
         monkeypatch.setenv(REPRO_FAULTS_ENV, "sweep.unit:1=raise*")
         args = _sweep_args(
             tmp_path,
@@ -429,20 +460,21 @@ class TestDegradedSweeps:
             "--keep-going",
             "--retry-backoff",
             "0.01",
+            grid=GRID,
         )
         assert main(args) == 1
         captured = capsys.readouterr()
         assert captured.out == ""  # diagnostics never land on stdout
-        assert "1 failed" in captured.err
+        assert "3 failed" in captured.err
         assert "Figure 6 view" not in captured.err  # no half-rendered views
         assert "failed after 2 attempt(s) [error]" in captured.err
         assert "injected failure at sweep.unit:1" in captured.err
-        assert len(_store_bytes(tmp_path, "partial")) == 2  # the others landed
+        assert len(_store_bytes(tmp_path, "partial")) == 3  # the others landed
 
-        # With the fault disarmed, --resume completes just the failed unit.
+        # With the fault disarmed, --resume completes just the failed task.
         monkeypatch.delenv(REPRO_FAULTS_ENV)
-        assert main(_sweep_args(tmp_path, "partial", "--resume")) == 0
-        assert "# 1 simulation(s) run" in capsys.readouterr().out
+        assert main(_sweep_args(tmp_path, "partial", "--resume", grid=GRID)) == 0
+        assert "# 3 simulation(s) run" in capsys.readouterr().out
 
     def test_fail_fast_stops_dispatching(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(REPRO_FAULTS_ENV, "sweep.unit:0=raise*")
@@ -453,12 +485,13 @@ class TestDegradedSweeps:
             "0",
             "--retry-backoff",
             "0.01",
+            grid=GRID,
         )
         assert main(args) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "1 failed" in captured.err
-        assert "not run" in captured.err
+        assert "3 failed" in captured.err
+        assert "3 not run" in captured.err
 
 
 class TestSessionFaults:
@@ -472,7 +505,7 @@ class TestSessionFaults:
         )
         report = checkpointed.report
         assert report.complete
-        assert report.retried == 1
+        assert report.retried == 2  # srrip and lru share the failed task
         assert report.failed == 0
 
     def test_truncated_trace_capture_is_quarantined(self, tmp_path):

@@ -18,8 +18,11 @@ from repro.core.pipeline import CoDesignPipeline
 from repro.cpu.core import run_lanes
 from repro.experiments.runner import BenchmarkRunner
 from repro.sim.config import SimulatorConfig
+from repro.sim import simulator as simulator_module
 from repro.sim.simulator import SystemSimulator, run_lockstep
-from repro.workloads.spec import InputSet, get_spec
+from repro.testing import make_session
+from repro.workloads.families import resolve_workload
+from repro.workloads.spec import InputSet, get_spec, tiny_spec
 from tests.test_determinism import assert_results_identical
 
 POLICIES = ("srrip", "lru", "trrip-1", "ship")
@@ -146,6 +149,33 @@ class TestLockstepSession:
         for policy, artifacts in zip(POLICIES, grouped):
             solo = solo_runner.run_resolved(spec, policy).result
             assert_results_identical(artifacts.result, solo)
+
+    def test_checkpointed_sweep_replays_each_workload_in_lockstep(
+        self, tmp_path, monkeypatch
+    ):
+        """The sweep's workers replay each workload's pending points in one
+        lockstep call, not one solo replay per point."""
+        calls = tmp_path / "lockstep-calls"
+
+        def counting(simulators, *traces):
+            # Runs in a pool worker: count through the file system.
+            with open(calls, "a", encoding="utf-8") as handle:
+                handle.write(f"{len(simulators)}\n")
+            return run_lockstep(simulators, *traces)
+
+        # Patched before the pool forks, so every worker inherits it.
+        monkeypatch.setattr(simulator_module, "run_lockstep", counting)
+        session = make_session(store_root=tmp_path / "store")
+        checkpointed = session.sweep_checkpointed(
+            benchmarks=[
+                tiny_spec(),
+                resolve_workload("zipf:alpha=1.2,instructions=6000,warmup=2000"),
+            ],
+            policies=["lru", "trrip-1"],
+        )
+        assert checkpointed.report.complete
+        sizes = calls.read_text().split() if calls.exists() else []
+        assert sizes == ["3", "3"]
 
     def test_reuse_tracking_points_run_solo(self):
         config = SimulatorConfig.scaled()

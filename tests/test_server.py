@@ -165,6 +165,26 @@ class TestJobManager:
         with pytest.raises(ShuttingDownError):
             staged.submit(parse_submission(TINY))
 
+    def test_jobs_leave_no_prepared_workloads_behind(self, manager):
+        """Every job runs in a fresh session over its worker's store, so no
+        session the manager holds keeps a workload a later job never uses."""
+        manager.start()
+        for submission in (
+            TINY,
+            {"benchmarks": ["zipf:alpha=1.2,instructions=6000,warmup=2000"]},
+        ):
+            job, deduped = manager.submit(parse_submission(submission))
+            assert not deduped
+            manager.wait(job.id, timeout=60)
+            assert job.state == "done"
+        assert manager._sessions
+        for session in manager._sessions:
+            for runner in session._runners.values():
+                assert not runner._prepared
+                assert not runner._packed
+        # The worker's store instance still counts every job's work.
+        assert manager.metrics()["store"]["writes"] == 3
+
     def test_failed_jobs_are_not_dedup_targets(self, manager, monkeypatch):
         monkeypatch.setenv(REPRO_FAULTS_ENV, "serve.job:0=raise")
         reset_fault_counters()
