@@ -1,10 +1,9 @@
 """Declarative run layer: one front door for every simulation in the repo.
 
-The historical entry points — raw :class:`~repro.sim.simulator.SystemSimulator`
-driving, :class:`~repro.experiments.runner.BenchmarkRunner` call sequences,
-and the registry/CLI glue — still exist as the engine underneath, but every
-figure, table, ablation, benchmark and CLI command now runs through two
-objects defined here:
+Every figure, table, ablation, benchmark and CLI command runs through two
+objects defined here; the engine underneath
+(:class:`~repro.experiments.runner.BenchmarkRunner`) is internal to the
+session's executor:
 
 * :class:`~repro.api.scenario.Scenario` — a declarative description of what
   to simulate: workloads (names, specs or mixes of both), structured
@@ -13,9 +12,10 @@ objects defined here:
   analysis options (reuse tracking).
 * :class:`~repro.api.session.Session` — the facade that expands scenario
   grids into a deduplicated :class:`~repro.api.scenario.RunPlan`, executes
-  it through the store-aware (optionally parallel) engine, and streams
-  :class:`~repro.experiments.runner.RunArtifacts` back in deterministic
-  order.
+  it through the store-aware (optionally parallel) executor, and streams
+  :class:`~repro.experiments.runner.RunArtifacts` (a result plus requested
+  reuse histograms) back in deterministic order; ``Session.prepare`` hands
+  out a request's prepared workload when a figure needs the binary.
 
 Quickstart::
 

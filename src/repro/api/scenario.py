@@ -9,10 +9,9 @@ scenarios into one :class:`RunPlan` whose duplicate points — the same
 (workload, policy, config, options, analysis) coordinate reached from
 different scenarios — are executed exactly once.
 
-Everything here is plain data: expansion needs no
-:class:`~repro.experiments.runner.BenchmarkRunner`, no store and no
-simulator, so plans can be built, inspected and counted for free (the CLI
-and the tests do exactly that).
+Everything here is plain data: expansion needs no session, no store and
+no simulator, so plans can be built, inspected and counted for free (the
+CLI and the tests do exactly that).
 """
 
 from __future__ import annotations

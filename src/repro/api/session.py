@@ -8,18 +8,20 @@ results:
 
 1. :meth:`Session.plan` expands scenarios into a deduplicated
    :class:`~repro.api.scenario.RunPlan` (free: no simulation happens);
-2. :meth:`Session.execute` runs the plan's unique points through the
-   store-aware :class:`~repro.experiments.runner.BenchmarkRunner` engine —
-   in-process, or as workload-affine tasks on a supervised worker pool —
-   and fans results back out to every requested point;
-3. :meth:`Session.stream` / :meth:`Session.run` wrap both for the common
-   call shapes.
+2. :meth:`Session.execute` runs the plan's unique points through the one
+   executor (:meth:`Session._execute_requests`) — in-process, or as
+   workload-affine tasks on a supervised worker pool — and fans results
+   back out to every requested point;
+3. :meth:`Session.stream` / :meth:`Session.run` / :meth:`Session.run_one` /
+   :meth:`Session.sweep` wrap both for the common call shapes.
 
-Results come back as :class:`~repro.experiments.runner.RunArtifacts` in
-deterministic plan order, bit-identical for every ``jobs`` value.  The
-session keeps one engine runner per (configuration, pipeline-options) pair,
-so prepared workloads and packed traces are shared across scenarios exactly
-as they were across the old hand-written runner loops.
+Results come back as :class:`~repro.experiments.runner.RunArtifacts` (a
+result plus requested reuse histograms) in deterministic plan order,
+bit-identical for every ``jobs`` value; :meth:`Session.prepare` hands out
+the co-design pipeline's output for a request when a caller needs the
+binary.  The session keeps one internal engine runner per (configuration,
+pipeline-options) pair, so prepared workloads and packed traces are shared
+across scenarios.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from repro.api.scenario import (
     resolve_benchmark,
 )
 from repro.cache.replacement.spec import PolicySpec
-from repro.core.pipeline import PipelineOptions
+from repro.core.pipeline import PipelineOptions, PreparedWorkload
 from repro.sim.config import (
     BASELINE_POLICY,
     EVALUATED_POLICIES,
@@ -46,7 +48,7 @@ from repro.workloads.spec import PROXY_BENCHMARK_NAMES
 
 if TYPE_CHECKING:  # engine types; imported lazily at runtime (see below)
     from repro.experiments.runner import BenchmarkRunner, RunArtifacts
-    from repro.experiments.store import ResultStore, StoredRun
+    from repro.experiments.store import ResultStore
     from repro.experiments.sweep import PolicySweepResult
 
 # The engine lives in repro.experiments, whose experiment modules import
@@ -84,33 +86,18 @@ class Session:
         cls,
         session: "Optional[Session]" = None,
         *,
-        runner: Optional[BenchmarkRunner] = None,
         config: Optional[SimulatorConfig] = None,
         store: Optional[ResultStore] = None,
-        jobs: Optional[int] = None,
     ) -> "Session":
-        """Coerce legacy call shapes into a session.
+        """The given session, or a fresh one around ``config``/``store``.
 
-        Experiment entry points accept ``session=``, but also still accept
-        the historical ``runner=``/``config=`` arguments; this adopts an
-        existing engine runner (sharing its caches and store) or builds a
-        fresh session around the given configuration.
+        Experiment entry points take an optional ``session=``; without one
+        they build a session over the ``config=`` (and ``store=``) they were
+        given.
         """
         if session is not None:
             return session
-        if runner is not None:
-            session = cls(
-                config=runner.config,
-                store=runner.store,
-                options=runner.pipeline_options,
-                jobs=jobs,
-                traces=runner.trace_archive,
-            )
-            session._runners[
-                session._runner_key(runner.config, runner.pipeline_options)
-            ] = runner
-            return session
-        return cls(config=config, store=store, jobs=jobs)
+        return cls(config=config, store=store)
 
     def fresh(self) -> "Session":
         """This session's settings, store and archive, without its engine
@@ -168,23 +155,7 @@ class Session:
         ``jobs`` (default: the session's) caps the worker processes; see
         :meth:`_execute_requests`.
         """
-        from repro.experiments.runner import RunArtifacts
-
-        runs = self._execute_requests(plan.unique, jobs)
-        unique = [
-            run
-            if isinstance(run, RunArtifacts)
-            # Re-prepare locally (cheap, deterministic, runner-cached) so
-            # pooled artifacts look exactly like store-served ones.
-            else RunArtifacts(
-                result=run.result,
-                prepared=self.runner_for(
-                    request.config, request.options
-                )._prepare_resolved(request.spec, request.options),
-                reuse=run.reuse_tracker(),
-            )
-            for request, run in zip(plan.unique, runs)
-        ]
+        unique = self._execute_requests(plan.unique, jobs)
         return [unique[index] for index in plan.indices]
 
     def run(
@@ -198,58 +169,46 @@ class Session:
     ) -> Iterator[tuple[RunRequest, RunArtifacts]]:
         """Yield ``(request, artifacts)`` pairs in deterministic plan order.
 
-        With ``jobs`` other than 1 the plan goes through :meth:`execute`
-        and completes first; with one job, each point is yielded as soon as
-        it (or its deduplicated original) finishes.
+        The plan runs through :meth:`execute` — so same-workload points
+        replay in lockstep for every ``jobs`` value — and completes before
+        the first pair is yielded.
         """
         plan = self.plan(*scenarios)
-        jobs = self.jobs if jobs is None else jobs
-        if jobs is not None and jobs != 1:
-            yield from zip(plan.requests, self.execute(plan, jobs=jobs))
-            return
-        done: dict[int, RunArtifacts] = {}
-        for request, index in zip(plan.requests, plan.indices):
-            if index not in done:
-                done[index] = self._run_request(plan.unique[index])
-            yield request, done[index]
+        yield from zip(plan.requests, self.execute(plan, jobs=jobs))
 
-    # -------------------------------------------------------------- execution
-    def _run_request(self, request: RunRequest) -> RunArtifacts:
-        runner = self.runner_for(request.config, request.options)
-        if request.is_multicore:
-            return runner.run_cores_resolved(
-                request.cores,
-                request.policy,
-                options=request.options,
-                interleave=request.interleave,
-            )
-        return runner.run_resolved(
-            request.spec,
-            request.policy,
-            options=request.options,
-            track_reuse=request.track_reuse,
+    def prepare(self, request: RunRequest) -> PreparedWorkload:
+        """The co-design pipeline's output for a request's workload.
+
+        Runs are results only; figures that read the binary or the loaded
+        image (hot-section ranges, page tagging) ask for it here.  Cached
+        per engine runner, so the pipeline runs once per (workload, pipeline
+        options) whatever the number of requests; for a co-run this is core
+        0's workload.
+        """
+        return self.runner_for(request.config, request.options)._prepare_resolved(
+            request.spec, request.options
         )
 
+    # -------------------------------------------------------------- execution
     def _execute_requests(
         self, requests: Sequence[RunRequest], jobs: Optional[int] = None
-    ) -> list[RunArtifacts | StoredRun]:
+    ) -> list[RunArtifacts]:
         """Run resolved requests (no dedup), results in request order.
 
-        The one executor behind :meth:`execute` (so :meth:`run`, and
-        :meth:`stream` with more than one job) and :meth:`sweep` (through
-        :meth:`~repro.experiments.runner.BenchmarkRunner.run_points`).
-        Requests are split into units (:meth:`_units`); the units with a
-        point missing from the store are merged into workload-affine tasks
-        (:meth:`_tasks`) that run on a
+        The one executor behind :meth:`execute` (so :meth:`run` and
+        :meth:`stream`) and :meth:`sweep`.  Requests are split into units
+        (:meth:`_units`); the units with a point missing from the store are
+        merged into workload-affine tasks (:meth:`_tasks`) that run on a
         :class:`~repro.experiments.supervisor.SupervisedPool` through the
         same :meth:`_run_unit` code as the in-process path.  ``jobs``
         (default: the session's) is the worker count — ``None``/1 runs
         everything in-process, 0 uses every usable CPU — capped by the
         number of tasks; with fewer than two workers nothing forks, so a
-        fully stored plan never does.  In-process points come back as
-        ``RunArtifacts``, pooled ones as ``StoredRun``; both carry
-        ``.result``, bit-identical for every ``jobs`` value.
+        fully stored plan never does.  Pooled points come back from their
+        worker as ``StoredRun``s and become ``RunArtifacts`` here, so every
+        point is a ``RunArtifacts``, bit-identical for every ``jobs`` value.
         """
+        from repro.experiments.runner import RunArtifacts
         from repro.experiments.supervisor import (
             SupervisedPool,
             SupervisionPolicy,
@@ -300,7 +259,9 @@ class Session:
         for task, outcome in zip(tasks, report.outcomes):
             for position, done in zip(task, outcome.value[0]):
                 for index, run in zip(units[position], done):
-                    runs[index] = run
+                    runs[index] = RunArtifacts(
+                        result=run.result, reuse=run.reuse_tracker()
+                    )
         return runs
 
     @staticmethod
@@ -367,14 +328,7 @@ class Session:
     def _run_unit(self, unit: Sequence[RunRequest]) -> list[RunArtifacts]:
         """Run one unit in this process: the in-process and worker path."""
         first = unit[0]
-        if len(unit) == 1:
-            return [self._run_request(first)]
-        return self.runner_for(first.config, first.options).run_lockstep_resolved(
-            first.spec,
-            [request.policy for request in unit],
-            options=first.options,
-            config=first.config,
-        )
+        return self.runner_for(first.config, first.options).run_points(unit)
 
     # ---------------------------------------------------------- conveniences
     def run_one(
@@ -388,15 +342,15 @@ class Session:
     ) -> RunArtifacts:
         """Simulate a single (benchmark, policy) point."""
         run_config = config or self.config
-        run_options = options or self.options
         request = RunRequest(
             spec=resolve_benchmark(benchmark, run_config),
             policy=PolicySpec.of(policy),
             config=run_config,
-            options=run_options,
+            options=options or self.options,
             track_reuse=track_reuse,
         )
-        return self._run_request(request)
+        [run] = self._run_unit([request])
+        return run
 
     def sweep(
         self,
@@ -419,24 +373,25 @@ class Session:
             PolicySpec.of(p) for p in (policies or EVALUATED_POLICIES)
         )
         baseline = PolicySpec.of(baseline)
-        wanted_benchmarks = list(benchmarks or PROXY_BENCHMARK_NAMES)
-        runner = self.runner_for(run_config)
+        specs = [
+            resolve_benchmark(b, run_config)
+            for b in (benchmarks or PROXY_BENCHMARK_NAMES)
+        ]
         sweep = PolicySweepResult(
-            benchmarks=tuple(
-                resolve_benchmark(b, run_config).name for b in wanted_benchmarks
-            ),
+            benchmarks=tuple(spec.name for spec in specs),
             policies=tuple(p.canonical() for p in wanted_policies),
             baseline_policy=baseline.canonical(),
         )
         ordered = [baseline] + [p for p in wanted_policies if p != baseline]
-        grid = runner.run_grid(
-            wanted_benchmarks,
-            ordered,
-            config=run_config,
-            jobs=self.jobs if jobs is None else jobs,
-        )
-        for benchmark, policy, result in grid:
-            sweep.results.setdefault(benchmark, {})[policy] = result
+        requests = [
+            RunRequest(spec=spec, policy=policy, config=run_config, options=self.options)
+            for spec in specs
+            for policy in ordered
+        ]
+        for request, run in zip(requests, self._execute_requests(requests, jobs)):
+            sweep.results.setdefault(request.spec.name, {})[
+                request.policy.canonical()
+            ] = run.result
         return sweep
 
     def sweep_checkpointed(

@@ -79,14 +79,7 @@ def _add_run_options(
         default="scaled",
         help="simulator configuration (default: scaled)",
     )
-    workload_group = parser.add_mutually_exclusive_group()
-    workload_group.add_argument(
-        "--benchmarks",
-        metavar="NAMES",
-        default=None,
-        help="deprecated alias for repeated --spec (comma-separated tokens)",
-    )
-    workload_group.add_argument(
+    parser.add_argument(
         "--tiny",
         action="store_true",
         help="run on the miniature smoke-test workload instead of the paper "
@@ -135,14 +128,6 @@ def _add_run_options(
         "(e.g. trrip-1 or ship:shct_bits=3); repeatable.  See `repro "
         "policies` for the catalog.  Experiments with a fixed policy list "
         "(figure6, table3, sweep) use these instead",
-    )
-    parser.add_argument(
-        "--workload",
-        action="append",
-        default=None,
-        metavar="FAMILY[:P=V,...]",
-        dest="workload",
-        help="deprecated alias for --spec",
     )
     _add_cache_options(parser)
 
@@ -401,12 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="submit a scenario to a running `repro serve` daemon"
     )
     submit_parser.add_argument(
-        "--benchmarks",
-        metavar="NAMES",
-        default=None,
-        help="deprecated alias for repeated --spec (comma-separated tokens)",
-    )
-    submit_parser.add_argument(
         "--tiny",
         action="store_true",
         help="submit the miniature smoke-test workload",
@@ -427,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="TOKEN",
         dest="core",
         help="multi-core submission: one workload per core; repeat once per "
-        "core.  Mutually exclusive with --spec/--tiny/--benchmarks",
+        "core.  Mutually exclusive with --spec/--tiny",
     )
     submit_parser.add_argument(
         "--interleave",
@@ -538,44 +517,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ------------------------------------------------------------------- helpers
-#: Deprecated flags already warned about this process (warn once per flag).
-_WARNED_FLAGS: set = set()
-
-
-def _warn_deprecated(flag: str, replacement: str) -> None:
-    if flag in _WARNED_FLAGS:
-        return
-    _WARNED_FLAGS.add(flag)
-    print(
-        f"repro: warning: {flag} is deprecated; use {replacement}",
-        file=sys.stderr,
-    )
-
-
 def _parse_benchmarks(args) -> Optional[list]:
-    """Workloads from ``--tiny`` / ``--spec`` (plus the deprecated aliases).
+    """Workloads from ``--tiny`` / ``--spec``.
 
     Every token — benchmark name, family token, ``tiny`` — goes through
     :func:`repro.api.scenario.resolve_token`, the same resolution path
     scenario wire payloads use, so an unknown name or bad family parameter
     fails here, before any simulation, with the same message everywhere.
-    ``--benchmarks`` (comma-separated) and ``--workload`` are deprecated
-    aliases that feed the same list.
     """
     benchmarks: list = []
     if getattr(args, "tiny", False):
         benchmarks.append(tiny_spec())
-    elif getattr(args, "benchmarks", None) is not None:
-        _warn_deprecated("--benchmarks", "--spec TOKEN (repeatable)")
-        names = [name.strip() for name in args.benchmarks.split(",") if name.strip()]
-        if not names:
-            raise ConfigurationError(
-                "--benchmarks named no workloads (the benchmark axis is empty)"
-            )
-        benchmarks.extend(resolve_token(name) for name in names)
-    for token in getattr(args, "workload", None) or ():
-        _warn_deprecated("--workload", "--spec TOKEN")
-        benchmarks.append(resolve_token(token))
     for token in getattr(args, "spec", None) or ():
         benchmarks.append(resolve_token(token))
     return benchmarks or None
@@ -778,8 +730,7 @@ def _cmd_workloads(args) -> int:
             print(f"  {'':14s} params:  {params}")
     print(
         "\nuse with `repro run EXPERIMENT --spec FAMILY[:param=value,...]`"
-        " (repeatable; --workload\nis a deprecated alias), or"
-        " programmatically via"
+        " (repeatable), or\nprogrammatically via"
         " repro.workloads.WorkloadFamilySpec.parse(...).synthesize().\n"
         "add `--trace-dir DIR` to capture generated traces once and replay"
         " them on every\nlater run (see EXPERIMENTS.md for the archive"
@@ -1022,11 +973,6 @@ def _build_submission(args) -> dict:
     benchmarks: list[str] = []
     if args.tiny:
         benchmarks.append("tiny")
-    if args.benchmarks:
-        _warn_deprecated("--benchmarks", "--spec TOKEN (repeatable)")
-        benchmarks.extend(
-            name.strip() for name in args.benchmarks.split(",") if name.strip()
-        )
     benchmarks.extend(args.spec or ())
     cores = list(args.core or ())
     if not benchmarks and not cores:
@@ -1035,7 +981,7 @@ def _build_submission(args) -> dict:
         )
     if benchmarks and cores:
         raise ConfigurationError(
-            "--core (multi-core) and --spec/--tiny/--benchmarks (single-core) "
+            "--core (multi-core) and --spec/--tiny (single-core) "
             "are mutually exclusive"
         )
     policies = None

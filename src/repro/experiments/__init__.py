@@ -42,7 +42,7 @@ from repro.experiments.figure9 import (
     run_figure9a,
     run_figure9b,
 )
-from repro.experiments.runner import BenchmarkRunner, RunArtifacts
+from repro.experiments.runner import RunArtifacts
 from repro.experiments.sweep import PolicySweepResult, run_policy_sweep
 from repro.experiments.table3 import format_table3, run_table3
 from repro.experiments.tables import (
@@ -75,7 +75,6 @@ from repro.experiments.registry import (
 from repro.experiments.store import ResultStore, StoredRun, default_store_root, run_key
 
 __all__ = [
-    "BenchmarkRunner",
     "RunArtifacts",
     "REGISTRY",
     "Experiment",

@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.api.scenario import Scenario
 from repro.api.session import Session
 from repro.core.pipeline import PipelineOptions
-from repro.experiments.runner import BenchmarkRunner
 from repro.osmodel.loader import OverlapPolicy
 from repro.sim.config import BASELINE_POLICY, SimulatorConfig
 
@@ -47,41 +47,50 @@ def run_page_size_ablation(
     benchmark: str = "sqlite",
     page_sizes: Sequence[int] = (4096, 16384),
     config: SimulatorConfig | None = None,
-    runner: BenchmarkRunner | None = None,
     session: Session | None = None,
 ) -> list[PageSizeAblationPoint]:
     """Sweep page sizes and §4.9 prevention mechanisms for one benchmark."""
-    session = Session.ensure(session, runner=runner, config=config)
+    session = Session.ensure(session, config=config)
     variants: list[tuple[OverlapPolicy, bool]] = [
         (OverlapPolicy.MAJORITY, False),
         (OverlapPolicy.DISABLE, False),
         (OverlapPolicy.MAJORITY, True),
     ]
-    points: list[PageSizeAblationPoint] = []
-    for page_size in page_sizes:
-        for overlap_policy, padded in variants:
-            options = PipelineOptions(
+    # One scenario per variant: the page handling lives in the pipeline
+    # options, and each scenario contributes its baseline/TRRIP pair in
+    # order, so the stream below is consumed pairwise.
+    scenarios = [
+        Scenario(
+            benchmarks=benchmark,
+            policies=(BASELINE_POLICY, "trrip-1"),
+            options=PipelineOptions(
                 page_size=page_size,
                 overlap_policy=overlap_policy,
                 pad_sections_to_page=padded,
+            ),
+            label="ablation-page-size",
+        )
+        for page_size in page_sizes
+        for overlap_policy, padded in variants
+    ]
+    points: list[PageSizeAblationPoint] = []
+    stream = session.stream(*scenarios)
+    for (request, baseline), (_, trrip) in zip(stream, stream):
+        loaded = session.prepare(request).loaded
+        points.append(
+            PageSizeAblationPoint(
+                benchmark=request.benchmark,
+                page_size=request.options.page_size,
+                overlap_policy=request.options.overlap_policy,
+                padded_sections=request.options.pad_sections_to_page,
+                tagged_pages=loaded.tagged_pages,
+                mixed_pages=loaded.mixed_temperature_pages,
+                speedup_over_srrip=trrip.result.speedup_over(baseline.result),
+                inst_mpki_reduction=trrip.result.mpki_reduction_over(
+                    baseline.result
+                )[0],
             )
-            baseline = session.run_one(
-                benchmark, BASELINE_POLICY, options=options
-            ).result
-            trrip = session.run_one(benchmark, "trrip-1", options=options)
-            prepared = trrip.prepared
-            points.append(
-                PageSizeAblationPoint(
-                    benchmark=prepared.spec.name,
-                    page_size=page_size,
-                    overlap_policy=overlap_policy,
-                    padded_sections=padded,
-                    tagged_pages=prepared.loaded.tagged_pages,
-                    mixed_pages=prepared.loaded.mixed_temperature_pages,
-                    speedup_over_srrip=trrip.result.speedup_over(baseline),
-                    inst_mpki_reduction=trrip.result.mpki_reduction_over(baseline)[0],
-                )
-            )
+        )
     return points
 
 
@@ -117,18 +126,17 @@ class KillSwitchResult:
 def run_kill_switch_ablation(
     benchmark: str = "sqlite",
     config: SimulatorConfig | None = None,
-    runner: BenchmarkRunner | None = None,
     session: Session | None = None,
 ) -> KillSwitchResult:
     """Show that TRRIP without PTE temperature bits behaves exactly like SRRIP."""
-    session = Session.ensure(session, runner=runner, config=config)
+    session = Session.ensure(session, config=config)
     tagged = PipelineOptions(propagate_temperature=True)
     untagged = PipelineOptions(propagate_temperature=False)
     srrip = session.run_one(benchmark, BASELINE_POLICY, options=untagged)
     trrip = session.run_one(benchmark, "trrip-1", options=tagged)
     trrip_untagged = session.run_one(benchmark, "trrip-1", options=untagged)
     return KillSwitchResult(
-        benchmark=srrip.prepared.spec.name,
+        benchmark=srrip.result.benchmark,
         srrip_cycles=srrip.result.cycles,
         trrip_cycles=trrip.result.cycles,
         trrip_untagged_cycles=trrip_untagged.result.cycles,

@@ -187,11 +187,11 @@ def measure_lockstep_sweep(
     the headline cycle counts (the full property is pinned by
     ``tests/test_lockstep.py``).
     """
-    from repro.workloads.spec import tiny_spec
+    from repro.workloads.spec import resolve_spec, tiny_spec
 
     config = SimulatorConfig.scaled()
     runner = BenchmarkRunner(config=config)
-    spec = tiny_spec() if tiny else runner.resolve_spec(benchmark)
+    spec = tiny_spec() if tiny else resolve_spec(benchmark, config.workload_scale)
     prepared = runner._prepare_resolved(spec)
     warmup, measured = runner.packed_traces(prepared)
 

@@ -14,7 +14,6 @@ from typing import Sequence
 from repro.analysis.reuse import REUSE_BUCKETS, ReuseHistogram
 from repro.api.scenario import Scenario
 from repro.api.session import Session
-from repro.experiments.runner import BenchmarkRunner
 from repro.sim.config import BASELINE_POLICY, SimulatorConfig
 from repro.workloads.spec import PROXY_BENCHMARK_NAMES
 
@@ -33,11 +32,10 @@ class ReuseRow:
 def run_figure3(
     benchmarks: Sequence[str] | None = None,
     config: SimulatorConfig | None = None,
-    runner: BenchmarkRunner | None = None,
     session: Session | None = None,
 ) -> list[ReuseRow]:
     """Measure per-set reuse distances of hot lines under the SRRIP baseline."""
-    session = Session.ensure(session, runner=runner, config=config)
+    session = Session.ensure(session, config=config)
     scenario = Scenario(
         benchmarks=tuple(benchmarks or PROXY_BENCHMARK_NAMES),
         policies=BASELINE_POLICY,

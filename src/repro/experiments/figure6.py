@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.api.session import Session
-from repro.experiments.runner import BenchmarkRunner
 from repro.experiments.sweep import PolicySweepResult, run_policy_sweep
 from repro.sim.config import EVALUATED_POLICIES, SimulatorConfig
 
@@ -20,7 +19,6 @@ def run_figure6(
     benchmarks: Sequence[str] | None = None,
     policies: Sequence[str] | None = None,
     config: SimulatorConfig | None = None,
-    runner: BenchmarkRunner | None = None,
     jobs: int | None = None,
     session: Session | None = None,
 ) -> PolicySweepResult:
@@ -29,7 +27,6 @@ def run_figure6(
         benchmarks=benchmarks,
         policies=policies or EVALUATED_POLICIES,
         config=config,
-        runner=runner,
         jobs=jobs,
         session=session,
     )

@@ -14,7 +14,6 @@ from typing import Sequence
 from repro.analysis.coverage import DEFAULT_PERCENTILES, CoverageResult, costly_miss_coverage
 from repro.api.scenario import Scenario
 from repro.api.session import Session
-from repro.experiments.runner import BenchmarkRunner
 from repro.sim.config import BASELINE_POLICY, SimulatorConfig
 from repro.workloads.spec import PROXY_BENCHMARK_NAMES
 
@@ -32,12 +31,11 @@ def run_figure7(
     benchmarks: Sequence[str] | None = None,
     percentiles: Sequence[int] = DEFAULT_PERCENTILES,
     config: SimulatorConfig | None = None,
-    runner: BenchmarkRunner | None = None,
     session: Session | None = None,
     jobs: int | None = None,
 ) -> list[CoverageRow]:
     """Measure costly-miss coverage under the SRRIP baseline."""
-    session = Session.ensure(session, runner=runner, config=config)
+    session = Session.ensure(session, config=config)
     scenario = Scenario(
         benchmarks=tuple(benchmarks or PROXY_BENCHMARK_NAMES),
         policies=BASELINE_POLICY,
@@ -47,7 +45,7 @@ def run_figure7(
     for request, artifacts in session.stream(scenario, jobs=jobs):
         benchmark = request.benchmark
         result = artifacts.result
-        binary = artifacts.prepared.binary
+        binary = session.prepare(request).binary
         hot_ranges = binary.hot_section_ranges
         is_external = binary.image.is_external
         including = costly_miss_coverage(

@@ -16,7 +16,6 @@ from repro.api.scenario import Scenario
 from repro.api.session import Session
 from repro.common.temperature import Temperature
 from repro.core.pipeline import PipelineOptions
-from repro.experiments.runner import BenchmarkRunner
 from repro.sim.config import BASELINE_POLICY, SimulatorConfig
 
 #: Thresholds swept by the paper (10% ... 100%).
@@ -47,11 +46,10 @@ def run_figure8(
     benchmarks: Sequence[str] | None = None,
     thresholds: Sequence[float] | None = None,
     config: SimulatorConfig | None = None,
-    runner: BenchmarkRunner | None = None,
     session: Session | None = None,
 ) -> list[ThresholdPoint]:
     """Sweep percentile_hot and measure section split + TRRIP-1 speedup."""
-    session = Session.ensure(session, runner=runner, config=config)
+    session = Session.ensure(session, config=config)
     # One scenario per (benchmark, threshold): the threshold lives in the
     # pipeline options, and each scenario contributes its baseline/TRRIP
     # pair in order, so the stream below is consumed pairwise.
@@ -68,7 +66,7 @@ def run_figure8(
     points: list[ThresholdPoint] = []
     stream = session.stream(*scenarios)
     for (request, baseline), (_, trrip) in zip(stream, stream):
-        image = trrip.prepared.binary.image
+        image = session.prepare(request).binary.image
         by_temp = image.section_bytes_by_temperature()
         total = sum(by_temp.values()) or 1
         points.append(

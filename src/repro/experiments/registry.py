@@ -4,7 +4,7 @@ Each experiment module registers one entry here, keyed by the name the CLI
 uses (``repro run figure3``), so the CLI, the benchmark harness and the
 tests all enumerate the same catalog instead of hard-coding module lists.
 An entry bundles the paper artifact it reproduces, an adapter that runs it
-from a shared :class:`ExperimentContext` (config + runner + optional
+from a shared :class:`ExperimentContext` (config + session + optional
 benchmark subset), and the formatter that renders its result as text.
 """
 
@@ -17,7 +17,6 @@ from repro.api.session import Session
 from repro.cache.replacement.spec import PolicySpec
 from repro.experiments import ablations, figure3, figure6, figure7, figure8
 from repro.experiments import figure9, interference, table3, tables, topdown_figures
-from repro.experiments.runner import BenchmarkRunner
 from repro.experiments.store import ResultStore
 from repro.sim.config import SimulatorConfig
 from repro.workloads.families import (
@@ -44,7 +43,6 @@ class ExperimentContext:
 
     config: SimulatorConfig = field(default_factory=SimulatorConfig.default)
     session: Optional[Session] = None
-    runner: Optional[BenchmarkRunner] = None  #: legacy handle; adopted if given
     benchmarks: Optional[Sequence[str | WorkloadSpec]] = None
     policies: Optional[Sequence[str | PolicySpec]] = None
     #: Multi-core experiments (``repro run interference --core ...``): one
@@ -55,9 +53,7 @@ class ExperimentContext:
 
     def __post_init__(self) -> None:
         if self.session is None:
-            self.session = Session.ensure(runner=self.runner, config=self.config)
-        if self.runner is None:
-            self.runner = self.session.runner
+            self.session = Session(config=self.config)
         if self.policies is not None:
             self.policies = tuple(PolicySpec.of(p) for p in self.policies)
         if self.benchmarks is not None:

@@ -1,4 +1,4 @@
-"""Shared experiment runner.
+"""Shared experiment runner: the in-process engine behind the session.
 
 Every table/figure module in :mod:`repro.experiments` needs the same loop:
 prepare a benchmark through the co-design pipeline, materialise its trace
@@ -9,25 +9,22 @@ generation once per benchmark.  Traces are materialised in the packed
 column-oriented format and replayed through the fast engine; the results are
 bit-identical to record-at-a-time replay (see ``tests/test_determinism.py``).
 
-For multi-benchmark sweeps the runner can also spread the (benchmark ×
-policy) grid over worker processes (:meth:`BenchmarkRunner.run_grid`, through
-the session executor): every grid point is an independent deterministic
-simulation, so the parallel run returns exactly the results — in exactly the
-order — the serial loop would produce.
+The runner is internal: callers go through
+:class:`~repro.api.session.Session`, whose executor hands it one unit at a
+time (:meth:`BenchmarkRunner.run_points`) — in-process or in a pool worker.
 
 A runner may additionally be given a persistent
 :class:`~repro.experiments.store.ResultStore`.  Because every run is fully
 determined by (resolved spec, policy, simulator config, pipeline options),
-a store hit skips the simulation entirely — only the (cheap, deterministic)
-workload preparation is redone to populate :class:`RunArtifacts.prepared`.
-The store is forwarded to pool workers, so parallel sweeps fill and reuse
-the same cache.
+a store hit skips the simulation *and* the co-design pipeline: a run is its
+result and its reuse histograms, nothing more.  The store is forwarded to
+pool workers, so parallel sweeps fill and reuse the same cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.analysis.reuse import ReuseDistanceTracker
 from repro.cache.replacement.spec import PolicySpec
@@ -50,21 +47,23 @@ from repro.sim.results import SimulationResult
 from repro.sim.simulator import SystemSimulator
 from repro.workloads.capture import TraceArchive
 from repro.workloads.spec import InputSet, WorkloadSpec
-from repro.workloads.spec import resolve_spec as resolve_workload_spec
+
+if TYPE_CHECKING:  # the api package imports this module at load time
+    from repro.api.scenario import RunRequest
 
 
 @dataclass
 class RunArtifacts:
-    """A simulation result plus optional analysis side-products.
+    """A simulation result plus its reuse histograms, when requested.
 
     ``result`` is a :class:`~repro.sim.results.SimulationResult` for
     single-core points and a :class:`~repro.sim.multicore.MulticoreResult`
-    for interleaved multi-core points (``prepared`` is then core 0's
-    workload).
+    for interleaved multi-core points.  The prepared workload behind a run
+    is not part of it: a store hit never prepares one, and callers that
+    need the binary ask :meth:`repro.api.session.Session.prepare`.
     """
 
     result: "SimulationResult | MulticoreResult"
-    prepared: PreparedWorkload
     reuse: Optional[ReuseDistanceTracker] = None
 
 
@@ -88,27 +87,13 @@ class BenchmarkRunner:
         self.simulations_run = 0
 
     # ----------------------------------------------------------- preparation
-    def resolve_spec(self, benchmark: str | WorkloadSpec) -> WorkloadSpec:
-        """Accept either a spec or a benchmark name, applying config scaling."""
-        return resolve_workload_spec(benchmark, self.config.workload_scale)
-
-    def prepare(
-        self,
-        benchmark: str | WorkloadSpec,
-        options: PipelineOptions | None = None,
-    ) -> PreparedWorkload:
-        """Run the co-design pipeline for a benchmark (cached)."""
-        return self._prepare_resolved(self.resolve_spec(benchmark), options)
-
     def _prepare_resolved(
         self, spec: WorkloadSpec, options: PipelineOptions | None = None
     ) -> PreparedWorkload:
-        """Like :meth:`prepare` for a spec that is already config-scaled.
+        """Run the co-design pipeline for a config-scaled spec (cached).
 
-        Config scaling must be applied exactly once per spec; the multi-run
-        entry points (:meth:`run_policies`, :meth:`run_grid`) resolve up
-        front and come in through here so the scaling is not re-applied per
-        grid point.
+        Config scaling is applied exactly once, when a request is planned
+        (:func:`repro.api.scenario.resolve_benchmark`); nothing here scales.
         """
         options = options or self.pipeline_options
         key = (spec, options.cache_key())
@@ -149,23 +134,6 @@ class BenchmarkRunner:
         return self._packed[key]
 
     # ------------------------------------------------------------------ runs
-    def run(
-        self,
-        benchmark: str | WorkloadSpec,
-        policy: str | PolicySpec = BASELINE_POLICY,
-        options: PipelineOptions | None = None,
-        track_reuse: bool = False,
-        config: SimulatorConfig | None = None,
-    ) -> RunArtifacts:
-        """Simulate one benchmark under one L2 replacement policy."""
-        return self.run_resolved(
-            self.resolve_spec(benchmark),
-            policy,
-            options=options,
-            track_reuse=track_reuse,
-            config=config,
-        )
-
     def run_resolved(
         self,
         spec: WorkloadSpec,
@@ -174,11 +142,8 @@ class BenchmarkRunner:
         track_reuse: bool = False,
         config: SimulatorConfig | None = None,
     ) -> RunArtifacts:
-        """Like :meth:`run` for a spec that is already config-scaled.
+        """Simulate one config-scaled spec under one L2 replacement policy.
 
-        Config scaling must be applied exactly once per spec, so every
-        multi-run flow (figure modules, :meth:`run_policies`,
-        :meth:`run_grid`) resolves up front and comes in through here.
         When the runner has a :class:`~repro.experiments.store.ResultStore`,
         this is also where cached runs are served from.
         """
@@ -191,12 +156,8 @@ class BenchmarkRunner:
             key = run_key(spec, policy, run_config, effective_options)
             cached = self.store.load_run(key, need_reuse=track_reuse)
             if cached is not None:
-                # Re-prepare (cheap, deterministic, runner-cached) so callers
-                # can still inspect the binary/loaded image; skip simulation.
-                prepared = self._prepare_resolved(spec, effective_options)
                 return RunArtifacts(
                     result=cached.result,
-                    prepared=prepared,
                     # Only surface histograms the caller asked for, so cached
                     # and fresh runs return identical artifact shapes.
                     reuse=cached.reuse_tracker() if track_reuse else None,
@@ -214,7 +175,8 @@ class BenchmarkRunner:
             )
         return artifacts
 
-    # Backwards-compatible private alias (pre-CLI callers and pool workers).
+    # Kept as an alias because the traced benchmark launcher wraps both names
+    # (``perfbench/spans.py``); a missing attribute fails every traced run.
     _run_resolved = run_resolved
 
     def run_lockstep_resolved(
@@ -250,10 +212,7 @@ class BenchmarkRunner:
                 key = run_key(spec, policy, run_config, effective_options)
                 cached = self.store.load_run(key)
                 if cached is not None:
-                    artifacts[position] = RunArtifacts(
-                        result=cached.result,
-                        prepared=self._prepare_resolved(spec, effective_options),
-                    )
+                    artifacts[position] = RunArtifacts(result=cached.result)
                     continue
             pending.append((position, policy, run_config, key))
 
@@ -273,9 +232,7 @@ class BenchmarkRunner:
             for (position, policy, run_config, key), result in zip(
                 pending, results
             ):
-                artifacts[position] = RunArtifacts(
-                    result=result, prepared=prepared
-                )
+                artifacts[position] = RunArtifacts(result=result)
                 if self.store is not None and key is not None:
                     self.store.save_run(
                         key,
@@ -301,8 +258,7 @@ class BenchmarkRunner:
         Store-cached like :meth:`run_resolved`, under
         :func:`~repro.experiments.store.multicore_run_key` — the key space
         is disjoint from single-core entries.  The returned artifacts carry
-        a :class:`~repro.sim.multicore.MulticoreResult` and core 0's
-        prepared workload.
+        a :class:`~repro.sim.multicore.MulticoreResult`.
         """
         policy = PolicySpec.of(policy)
         specs = list(specs)
@@ -319,8 +275,7 @@ class BenchmarkRunner:
             )
             cached = self.store.load_multicore(key)
             if cached is not None:
-                prepared = self._prepare_resolved(specs[0], effective_options)
-                return RunArtifacts(result=cached, prepared=prepared)
+                return RunArtifacts(result=cached)
 
         prepared_cores = [
             self._prepare_resolved(spec, effective_options) for spec in specs
@@ -344,7 +299,7 @@ class BenchmarkRunner:
                 config=run_config,
                 options=effective_options,
             )
-        return RunArtifacts(result=result, prepared=prepared_cores[0])
+        return RunArtifacts(result=result)
 
     def _simulate(
         self,
@@ -372,66 +327,44 @@ class BenchmarkRunner:
             simulator.hierarchy.l2_access_observer = tracker.observe
         result = simulator.run(measured)
         self.simulations_run += 1
-        return RunArtifacts(result=result, prepared=prepared, reuse=tracker)
+        return RunArtifacts(result=result, reuse=tracker)
 
-    def run_policies(
-        self,
-        benchmark: str | WorkloadSpec,
-        policies: Sequence[str | PolicySpec],
-        baseline: str | PolicySpec = BASELINE_POLICY,
-        options: PipelineOptions | None = None,
-        config: SimulatorConfig | None = None,
-    ) -> dict[str, SimulationResult]:
-        """Run a benchmark under a baseline plus a list of policies.
+    # ------------------------------------------------------------ executor unit
+    def run_points(self, unit: Sequence[RunRequest]) -> list[RunArtifacts]:
+        """Run one executor unit in this process, results in unit order.
 
-        Results are keyed by each policy's canonical string form (for plain
-        policies, the bare name).
+        A unit (:meth:`repro.api.session.Session._units`) is a lockstep
+        group — same workload, config and pipeline options, one point per
+        L2 policy — or a single point: a solo run, a reuse-tracking run or a
+        multi-core co-run.
         """
-        spec = self.resolve_spec(benchmark)
-        baseline = PolicySpec.of(baseline)
-        results: dict[str, SimulationResult] = {}
-        wanted = [baseline] + [
-            s for s in (PolicySpec.of(p) for p in policies) if s != baseline
-        ]
-        for policy in wanted:
-            results[policy.canonical()] = self.run_resolved(
-                spec, policy, options=options, config=config
-            ).result
-        return results
-
-    # ------------------------------------------------------------ parallel map
-    def run_points(
-        self,
-        points: Sequence[tuple[WorkloadSpec, str | PolicySpec]],
-        config: SimulatorConfig | None = None,
-        jobs: int | None = None,
-    ) -> list[SimulationResult]:
-        """Simulate a list of (resolved spec, policy) points, returning
-        results in input order.
-
-        The points go through the session executor
-        (:meth:`repro.api.session.Session.execute`) with this runner as its
-        engine: same-workload points replay in lockstep, and ``jobs``
-        (``None``/1 = in-process, 0 = every usable CPU, N = at most N
-        workers) spreads workload-affine tasks over a supervised pool.  Each
-        point is a fully deterministic simulation, so the returned list is
-        identical regardless of ``jobs``.
-        """
-        from repro.api.scenario import RunRequest
-        from repro.api.session import Session
-
-        run_config = config or self.config
-        requests = [
-            RunRequest(
-                spec=spec,
-                policy=PolicySpec.of(policy),
-                config=run_config,
-                options=self.pipeline_options,
+        first = unit[0]
+        if len(unit) > 1:
+            return self.run_lockstep_resolved(
+                first.spec,
+                [request.policy for request in unit],
+                options=first.options,
+                config=first.config,
             )
-            for spec, policy in points
+        if first.is_multicore:
+            return [
+                self.run_cores_resolved(
+                    first.cores,
+                    first.policy,
+                    options=first.options,
+                    interleave=first.interleave,
+                    config=first.config,
+                )
+            ]
+        return [
+            self.run_resolved(
+                first.spec,
+                first.policy,
+                options=first.options,
+                track_reuse=first.track_reuse,
+                config=first.config,
+            )
         ]
-        session = Session.ensure(runner=self)
-        return [run.result for run in session._execute_requests(requests, jobs)]
 
     def fold_worker_counters(
         self,
@@ -458,29 +391,6 @@ class BenchmarkRunner:
             self.trace_archive.misses += misses
             self.trace_archive.writes += writes
             self.trace_archive.corrupt += corrupt
-
-    def run_grid(
-        self,
-        benchmarks: Sequence[str | WorkloadSpec],
-        policies: Sequence[str | PolicySpec],
-        config: SimulatorConfig | None = None,
-        jobs: int | None = None,
-    ) -> list[tuple[str, str, SimulationResult]]:
-        """Simulate every (benchmark, policy) grid point, optionally in
-        parallel worker processes.
-
-        The returned list is ordered benchmark-major, exactly like the
-        serial nested loop, for every ``jobs`` value (see
-        :meth:`run_points`); policies are reported in canonical string form.
-        """
-        specs = [self.resolve_spec(benchmark) for benchmark in benchmarks]
-        wanted = [PolicySpec.of(policy) for policy in policies]
-        points = [(spec, policy) for spec in specs for policy in wanted]
-        results = self.run_points(points, config=config, jobs=jobs)
-        return [
-            (spec.name, policy.canonical(), result)
-            for (spec, policy), result in zip(points, results)
-        ]
 
 
 def _counter_state(tracker) -> tuple[int, int, int, int]:

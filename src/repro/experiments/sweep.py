@@ -122,15 +122,13 @@ def run_policy_sweep(
     benchmarks: Sequence[str] | None = None,
     policies: Sequence[str] | None = None,
     config: SimulatorConfig | None = None,
-    runner: BenchmarkRunner | None = None,
     jobs: int | None = None,
     session=None,
 ) -> PolicySweepResult:
     """Simulate every (benchmark, policy) pair against the SRRIP baseline.
 
-    Thin wrapper over :meth:`repro.api.session.Session.sweep` keeping the
-    historical signature: ``session=`` is the preferred handle, ``runner=``
-    (an engine runner to adopt) and ``config=`` remain accepted.
+    Thin wrapper over :meth:`repro.api.session.Session.sweep`; without a
+    ``session=`` it runs in a fresh session over ``config=``.
 
     ``jobs`` spreads the (benchmark × policy) grid over worker processes
     (``0`` = every usable CPU, ``None``/``1`` = in-process).  Every grid
@@ -138,7 +136,7 @@ def run_policy_sweep(
     are identical — including iteration order of the nested result dicts —
     for any ``jobs`` value.
     """
-    session = Session.ensure(session, runner=runner, config=config)
+    session = Session.ensure(session, config=config)
     return session.sweep(
         benchmarks=benchmarks,
         policies=policies,
@@ -299,10 +297,12 @@ class SweepExecutionReport:
     #: Units dispatched to a worker at least once.
     attempted: int = 0
     succeeded: int = 0
-    #: Units that needed more than one attempt.
+    #: Units whose task was scheduled for a retry at least once (the
+    #: journal's ``retry`` events), whether or not the retry ran.
     retried: int = 0
     failed: int = 0
-    #: Units never dispatched (sweep aborted or interrupted first).
+    #: Units with neither a result nor a final failure when the sweep
+    #: stopped, including units waiting on a retry.
     not_run: int = 0
     #: Total seconds spent in retry backoff delays.
     backoff_total: float = 0.0
@@ -485,6 +485,7 @@ def _execute_pending(
     groups = Session._units([unit.request for unit in pending])
     tasks = [[pending[position] for position in group] for group in groups]
     completed = 0
+    retried: set[int] = set()
 
     def record(event: str, task: list[SweepUnit], **fields) -> None:
         for unit in task:
@@ -514,6 +515,7 @@ def _execute_pending(
             fire_point("sweep.completed", completed)
 
     def on_retry(position, attempt, worker_id, kind, message, delay) -> None:
+        retried.add(position)
         record(
             "retry",
             tasks[position],
@@ -566,10 +568,10 @@ def _execute_pending(
     except SweepInterrupted:
         report.interrupted = True
     finally:
-        for task, outcome in zip(tasks, pool.outcomes):
+        for position, (task, outcome) in enumerate(zip(tasks, pool.outcomes)):
             if outcome.attempts > 0:
                 report.attempted += len(task)
-            if outcome.attempts > 1:
+            if position in retried:
                 report.retried += len(task)
             if outcome.status == "done":
                 report.succeeded += len(task)

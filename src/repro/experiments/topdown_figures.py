@@ -16,7 +16,6 @@ from typing import Sequence
 from repro.api.session import Session
 from repro.core.pipeline import PipelineOptions
 from repro.cpu.topdown import TopDownBreakdown
-from repro.experiments.runner import BenchmarkRunner
 from repro.sim.config import BASELINE_POLICY, SimulatorConfig
 from repro.workloads.spec import PROXY_BENCHMARK_NAMES, SYSTEM_COMPONENT_NAMES
 
@@ -44,7 +43,7 @@ def _topdown_row(
     options = PipelineOptions(apply_pgo=apply_pgo, propagate_temperature=False)
     artifacts = session.run_one(benchmark, policy, options=options)
     return TopDownRow(
-        benchmark=artifacts.prepared.spec.name,
+        benchmark=artifacts.result.benchmark,
         pgo_applied=apply_pgo,
         fractions=artifacts.result.topdown.fractions(),
     )
@@ -53,11 +52,10 @@ def _topdown_row(
 def run_figure1(
     components: Sequence[str] | None = None,
     config: SimulatorConfig | None = None,
-    runner: BenchmarkRunner | None = None,
     session: Session | None = None,
 ) -> list[TopDownRow]:
     """Top-Down breakdown of the PGO'd mobile system components (Figure 1)."""
-    session = Session.ensure(session, runner=runner, config=config)
+    session = Session.ensure(session, config=config)
     return [
         _topdown_row(session, component, apply_pgo=True, policy=BASELINE_POLICY)
         for component in (components or SYSTEM_COMPONENT_NAMES)
@@ -67,11 +65,10 @@ def run_figure1(
 def run_figure2(
     benchmarks: Sequence[str] | None = None,
     config: SimulatorConfig | None = None,
-    runner: BenchmarkRunner | None = None,
     session: Session | None = None,
 ) -> list[TopDownRow]:
     """Top-Down breakdown of proxies, non-PGO and PGO (Figure 2)."""
-    session = Session.ensure(session, runner=runner, config=config)
+    session = Session.ensure(session, config=config)
     rows: list[TopDownRow] = []
     for benchmark in benchmarks or PROXY_BENCHMARK_NAMES:
         rows.append(_topdown_row(session, benchmark, apply_pgo=False, policy=BASELINE_POLICY))

@@ -21,7 +21,7 @@ Families mirror the replacement-policy registry
 (:mod:`repro.cache.replacement.spec`) exactly: each is a registry entry with
 typed, defaulted parameters, addressable from code and the CLI as
 ``name:param=value,param=value`` (``WorkloadFamilySpec.parse("zipf:alpha=1.2")``,
-``repro run table3 --workload zipf:alpha=1.2``).  Synthesis is a pure
+``repro run table3 --spec zipf:alpha=1.2``).  Synthesis is a pure
 function of the canonical parameters, so a family token denotes the same
 trace everywhere — which is what lets family runs share the result store and
 the trace archive (:mod:`repro.workloads.capture`) across processes.

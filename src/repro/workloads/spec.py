@@ -492,10 +492,10 @@ def resolve_spec(
 ) -> WorkloadSpec:
     """Resolve a benchmark name/spec, applying ``workload_scale`` exactly once.
 
-    The single implementation of the scaling rule: both the engine
-    (``BenchmarkRunner.resolve_spec``) and the scenario layer
-    (``repro.api.scenario.resolve_benchmark``) delegate here, so a spec can
-    never be scaled twice on one path and once on another.
+    The single implementation of the scaling rule: the scenario layer
+    (``repro.api.scenario.resolve_benchmark``), the sweep manifest and the
+    replay benchmark all delegate here, so a spec can never be scaled twice
+    on one path and once on another.
     """
     spec = benchmark if isinstance(benchmark, WorkloadSpec) else get_spec(benchmark)
     if workload_scale != 1.0:

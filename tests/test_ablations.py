@@ -2,19 +2,19 @@
 
 import pytest
 
+from repro.api.session import Session
 from repro.experiments.ablations import (
     format_page_size_ablation,
     run_kill_switch_ablation,
     run_page_size_ablation,
 )
-from repro.experiments.runner import BenchmarkRunner
 from repro.osmodel.loader import OverlapPolicy
 from repro.sim.config import SimulatorConfig
 from repro.workloads.spec import WorkloadSpec
 
 
 @pytest.fixture(scope="module")
-def tiny_runner_and_spec():
+def tiny_session_and_spec():
     spec = WorkloadSpec(
         name="tiny-ablation",
         category="proxy",
@@ -33,14 +33,14 @@ def tiny_runner_and_spec():
         warmup_instructions=2_000,
         seed=55,
     )
-    return BenchmarkRunner(config=SimulatorConfig.scaled()), spec
+    return Session(config=SimulatorConfig.scaled()), spec
 
 
 class TestPageSizeAblation:
-    def test_points_cover_all_variants(self, tiny_runner_and_spec):
-        runner, spec = tiny_runner_and_spec
+    def test_points_cover_all_variants(self, tiny_session_and_spec):
+        session, spec = tiny_session_and_spec
         points = run_page_size_ablation(
-            benchmark=spec, page_sizes=(4096, 16384), runner=runner
+            benchmark=spec, page_sizes=(4096, 16384), session=session
         )
         assert len(points) == 6
         assert {p.page_size for p in points} == {4096, 16384}
@@ -50,26 +50,26 @@ class TestPageSizeAblation:
         }
         assert "page" in format_page_size_ablation(points)
 
-    def test_larger_pages_never_increase_tagged_page_count(self, tiny_runner_and_spec):
-        runner, spec = tiny_runner_and_spec
+    def test_larger_pages_never_increase_tagged_page_count(self, tiny_session_and_spec):
+        session, spec = tiny_session_and_spec
         points = run_page_size_ablation(
-            benchmark=spec, page_sizes=(4096, 16384), runner=runner
+            benchmark=spec, page_sizes=(4096, 16384), session=session
         )
         small = [p for p in points if p.page_size == 4096 and not p.padded_sections]
         large = [p for p in points if p.page_size == 16384 and not p.padded_sections]
         assert max(p.tagged_pages for p in large) <= max(p.tagged_pages for p in small)
 
-    def test_padded_sections_remove_mixed_pages(self, tiny_runner_and_spec):
-        runner, spec = tiny_runner_and_spec
+    def test_padded_sections_remove_mixed_pages(self, tiny_session_and_spec):
+        session, spec = tiny_session_and_spec
         points = run_page_size_ablation(
-            benchmark=spec, page_sizes=(4096,), runner=runner
+            benchmark=spec, page_sizes=(4096,), session=session
         )
         padded = [p for p in points if p.padded_sections]
         assert all(p.mixed_pages == 0 for p in padded)
 
 
 class TestKillSwitch:
-    def test_disabling_temperature_degrades_to_srrip(self, tiny_runner_and_spec):
-        runner, spec = tiny_runner_and_spec
-        result = run_kill_switch_ablation(benchmark=spec, runner=runner)
+    def test_disabling_temperature_degrades_to_srrip(self, tiny_session_and_spec):
+        session, spec = tiny_session_and_spec
+        result = run_kill_switch_ablation(benchmark=spec, session=session)
         assert result.degrades_to_baseline

@@ -31,7 +31,7 @@ FAMILY_TOKEN = "zipf:alpha=1.4,instructions=4000,warmup=1000"
 def generate_pair(spec):
     """(warmup, measured) packed traces straight from the generator."""
     runner = BenchmarkRunner()
-    return runner.packed_traces(runner.prepare(spec))
+    return runner.packed_traces(runner._prepare_resolved(spec))
 
 
 def columns(trace):

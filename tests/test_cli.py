@@ -23,13 +23,13 @@ class TestParser:
             ["policies"],
             ["workloads"],
             ["run", "figure3", "--tiny", "--no-cache"],
-            ["run", "table3", "--benchmarks", "sqlite,gcc", "--jobs", "2"],
+            ["run", "table3", "--spec", "sqlite", "--spec", "gcc", "--jobs", "2"],
             ["run", "figure6", "--tiny", "--policy", "ship:shct_bits=3"],
-            ["run", "table3", "--tiny", "--workload", "zipf:alpha=1.2"],
+            ["run", "table3", "--tiny", "--spec", "zipf:alpha=1.2"],
             ["run", "figure6", "--tiny", "--trace-dir", "traces"],
             ["sweep", "--policies", "lru,trrip-1", "--tiny"],
             ["sweep", "--policy", "trrip-2", "--tiny"],
-            ["sweep", "--workload", "streaming", "--workload", "zipf"],
+            ["sweep", "--spec", "streaming", "--spec", "zipf"],
             ["report", "figure3", "--format", "csv"],
         ):
             args = parser.parse_args(argv)
@@ -38,13 +38,6 @@ class TestParser:
     def test_unknown_subcommand_exits(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
-
-    def test_tiny_and_benchmarks_are_mutually_exclusive(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "figure6", "--tiny", "--benchmarks", "sqlite"]
-            )
-        assert "not allowed with" in capsys.readouterr().err
 
 
 class TestList:
@@ -110,7 +103,7 @@ class TestWorkloads:
         assert "zipf" in out
         assert "alpha:float=1.2" in out
         assert "aliases: stream" in out
-        assert "--workload" in out
+        assert "--spec" in out
 
     def test_run_with_family_workload(self, capsys):
         argv = [
@@ -118,7 +111,7 @@ class TestWorkloads:
             "table3",
             "--tiny",
             "--no-cache",
-            "--workload",
+            "--spec",
             "zipf:alpha=1.2,instructions=4000,warmup=1000",
         ]
         assert main(argv) == 0
@@ -127,20 +120,15 @@ class TestWorkloads:
         assert "zipf:alp" in out  # family column next to the tiny one
 
     def test_unknown_family_fails_cleanly(self, capsys):
-        argv = ["run", "table3", "--tiny", "--no-cache", "--workload", "nope"]
+        argv = ["run", "table3", "--tiny", "--no-cache", "--spec", "nope"]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "unknown workload" in err
 
     def test_bad_family_parameter_fails_cleanly(self, capsys):
-        argv = ["sweep", "--no-cache", "--workload", "zipf:bogus=1"]
+        argv = ["sweep", "--no-cache", "--spec", "zipf:bogus=1"]
         assert main(argv) == 1
         assert "no parameter 'bogus'" in capsys.readouterr().err
-
-    def test_empty_benchmarks_fails_instead_of_running_defaults(self, capsys):
-        argv = ["run", "table3", "--benchmarks", ",", "--no-cache"]
-        assert main(argv) == 1
-        assert "benchmark axis is empty" in capsys.readouterr().err
 
     def test_trace_dir_captures_then_replays(self, tmp_path, capsys):
         traces = str(tmp_path / "traces")
@@ -168,7 +156,7 @@ class TestRun:
         assert "unknown experiment" in capsys.readouterr().err
 
     def test_unknown_benchmark_fails_cleanly(self, capsys):
-        assert main(["run", "figure3", "--benchmarks", "nope", "--no-cache"]) == 1
+        assert main(["run", "figure3", "--spec", "nope", "--no-cache"]) == 1
         assert "unknown workload" in capsys.readouterr().err
 
     def test_static_experiment_runs_without_cache(self, capsys):
@@ -252,8 +240,10 @@ class TestRun:
         argv = [
             "run",
             "ablation-kill-switch",
-            "--benchmarks",
-            "rapidjson,bullet",
+            "--spec",
+            "rapidjson",
+            "--spec",
+            "bullet",
             "--store",
             str(tmp_path),
         ]

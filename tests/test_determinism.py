@@ -106,9 +106,13 @@ WORKLOADS = (
 
 
 def _grid(session, jobs):
-    """Lockstep units: the (benchmark x policy) grid of ``run_grid``."""
-    grid = session.runner.run_grid(WORKLOADS, ("srrip", "trrip-1"), jobs=jobs)
-    return [(f"{b}/{p}", result, None) for b, p, result in grid]
+    """Lockstep units: the (benchmark x policy) grid of ``Session.sweep``."""
+    sweep = session.sweep(WORKLOADS, ("srrip", "trrip-1"), jobs=jobs)
+    return [
+        (f"{benchmark}/{policy}", result, None)
+        for benchmark, row in sweep.results.items()
+        for policy, result in row.items()
+    ]
 
 
 def _plan(*scenarios):

@@ -19,7 +19,6 @@ import pytest
 from repro.api.scenario import resolve_token
 from repro.cli.main import build_parser
 from repro.experiments.registry import REGISTRY
-from repro.workloads.spec import get_spec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DOC_FILES = ("README.md", "EXPERIMENTS.md")
@@ -64,14 +63,10 @@ def _validate_repro_args(argv: list[str], context: str) -> None:
             f"documented experiment {args.experiment!r} is not registered "
             f"({context})"
         )
-    benchmarks = getattr(args, "benchmarks", None)
-    if benchmarks:
-        for name in benchmarks.split(","):
-            get_spec(name.strip())  # raises on unknown benchmarks
-    # The unified workload-token flags (--spec, --core, --workload) accept
-    # catalog names, family tokens and "tiny"; validate each through the
-    # same resolution path the scenario serializer uses.
-    for attr in ("spec", "core", "workload"):
+    # The workload-token flags (--spec, --core) accept catalog names,
+    # family tokens and "tiny"; validate each through the same resolution
+    # path the scenario serializer uses.
+    for attr in ("spec", "core"):
         for token in getattr(args, attr, None) or ():
             resolve_token(token)  # raises on unknown tokens/parameters
 

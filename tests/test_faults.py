@@ -476,6 +476,21 @@ class TestDegradedSweeps:
         assert main(_sweep_args(tmp_path, "partial", "--resume", grid=GRID)) == 0
         assert "# 3 simulation(s) run" in capsys.readouterr().out
 
+    def test_retry_queued_at_an_interrupt_counts_as_retried_and_not_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Killing unit 1's worker queues a retry of units 0-2; the one worker
+        # runs the other task meanwhile, and the abort after its 3 units
+        # stops the sweep before the retry is dispatched.
+        monkeypatch.setenv(
+            REPRO_FAULTS_ENV, "sweep.unit:1=kill;sweep.completed:3=abort"
+        )
+        assert main(_sweep_args(tmp_path, "queued", grid=GRID)) == 1
+        err = capsys.readouterr().err
+        assert "6 attempted, 3 succeeded" in err
+        assert "3 retried, 0 failed, 3 not run" in err
+        assert "[interrupted]" in err
+
     def test_fail_fast_stops_dispatching(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(REPRO_FAULTS_ENV, "sweep.unit:0=raise*")
         args = _sweep_args(

@@ -10,8 +10,8 @@ read from the compiler directly.
 
 import pytest
 
+from repro.api.session import Session
 from repro.core.pipeline import CoDesignPipeline, PipelineOptions
-from repro.experiments.runner import BenchmarkRunner
 from repro.sim.config import SimulatorConfig
 from repro.workloads.spec import WorkloadSpec
 
@@ -40,10 +40,10 @@ def marginal_spec() -> WorkloadSpec:
 
 @pytest.fixture(scope="module")
 def sweep(marginal_spec):
-    runner = BenchmarkRunner(config=SimulatorConfig.scaled())
-    return runner.run_policies(
-        marginal_spec, ["trrip-1", "trrip-2", "clip", "lru"]
-    )
+    session = Session(config=SimulatorConfig.scaled())
+    return session.sweep(
+        [marginal_spec], ["trrip-1", "trrip-2", "clip", "lru"]
+    ).results[marginal_spec.name]
 
 
 class TestHeadlineClaims:
@@ -80,10 +80,12 @@ class TestHeadlineClaims:
 class TestInterfaceFlow:
     def test_temperature_must_flow_through_the_pte_interface(self, marginal_spec):
         """If the loader drops the PTE bits, TRRIP degrades to SRRIP exactly."""
-        runner = BenchmarkRunner(config=SimulatorConfig.scaled())
+        session = Session(config=SimulatorConfig.scaled())
         untagged_options = PipelineOptions(propagate_temperature=False)
-        srrip = runner.run(marginal_spec, "srrip", options=untagged_options).result
-        trrip_untagged = runner.run(
+        srrip = session.run_one(
+            marginal_spec, "srrip", options=untagged_options
+        ).result
+        trrip_untagged = session.run_one(
             marginal_spec, "trrip-1", options=untagged_options
         ).result
         assert trrip_untagged.l2_inst_misses == srrip.l2_inst_misses
@@ -91,11 +93,11 @@ class TestInterfaceFlow:
 
     def test_pgo_layout_reduces_frontend_stalls(self, marginal_spec):
         """Figure 2: PGO improves the retire fraction of the same workload."""
-        runner = BenchmarkRunner(config=SimulatorConfig.scaled())
-        no_pgo = runner.run(
+        session = Session(config=SimulatorConfig.scaled())
+        no_pgo = session.run_one(
             marginal_spec, "srrip", options=PipelineOptions(apply_pgo=False)
         ).result
-        pgo = runner.run(
+        pgo = session.run_one(
             marginal_spec, "srrip", options=PipelineOptions(apply_pgo=True)
         ).result
         assert pgo.topdown.fraction("retire") > no_pgo.topdown.fraction("retire")

@@ -17,6 +17,7 @@ from repro.api.session import Session
 from repro.core.pipeline import CoDesignPipeline
 from repro.cpu.core import run_lanes
 from repro.experiments.runner import BenchmarkRunner
+from repro.experiments.store import ResultStore
 from repro.sim.config import SimulatorConfig
 from repro.sim import simulator as simulator_module
 from repro.sim.simulator import SystemSimulator, run_lockstep
@@ -94,7 +95,7 @@ class TestLockstepRunner:
         config = SimulatorConfig.scaled()
         runner_solo = BenchmarkRunner(config=config)
         runner_lockstep = BenchmarkRunner(config=config)
-        spec = runner_solo.resolve_spec("sqlite")
+        spec = get_spec("sqlite")
         artifacts = runner_lockstep.run_lockstep_resolved(spec, POLICIES)
         assert runner_lockstep.simulations_run == len(POLICIES)
         for policy, artifact in zip(POLICIES, artifacts):
@@ -102,12 +103,10 @@ class TestLockstepRunner:
             assert_results_identical(artifact.result, solo.result)
 
     def test_lockstep_serves_and_fills_the_store(self, tmp_path):
-        from repro.experiments.store import ResultStore
-
         config = SimulatorConfig.scaled()
         store = ResultStore(root=tmp_path)
         runner = BenchmarkRunner(config=config, store=store)
-        spec = runner.resolve_spec("sqlite")
+        spec = get_spec("sqlite")
         first = runner.run_lockstep_resolved(spec, POLICIES)
         assert runner.simulations_run == len(POLICIES)
         # Second lockstep group: all points served from the store.
@@ -124,10 +123,14 @@ class TestLockstepRunner:
 
     def test_serial_grid_uses_lockstep_and_matches(self):
         config = SimulatorConfig.scaled()
-        grid_runner = BenchmarkRunner(config=config)
         solo_runner = BenchmarkRunner(config=config)
-        spec = solo_runner.resolve_spec("sqlite")
-        grid = grid_runner.run_grid(("sqlite",), POLICIES)
+        spec = get_spec("sqlite")
+        sweep = Session(config=config).sweep(("sqlite",), POLICIES)
+        grid = [
+            (benchmark, policy, result)
+            for benchmark, row in sweep.results.items()
+            for policy, result in row.items()
+        ]
         assert [(b, p) for b, p, _ in grid] == [(spec.name, p) for p in POLICIES]
         for _, policy, result in grid:
             solo = solo_runner.run_resolved(spec, policy).result
@@ -145,10 +148,25 @@ class TestLockstepSession:
         assert session.simulations_run == len(POLICIES)
 
         solo_runner = BenchmarkRunner(config=config)
-        spec = solo_runner.resolve_spec("sqlite")
+        spec = get_spec("sqlite")
         for policy, artifacts in zip(POLICIES, grouped):
             solo = solo_runner.run_resolved(spec, policy).result
             assert_results_identical(artifacts.result, solo)
+
+    def test_one_job_stream_replays_policies_in_lockstep(self, monkeypatch):
+        """A one-job stream goes through the executor, so a two-policy
+        scenario is one lockstep call over two simulators."""
+        calls = []
+
+        def counting(simulators, *traces):
+            calls.append(len(simulators))
+            return run_lockstep(simulators, *traces)
+
+        monkeypatch.setattr(simulator_module, "run_lockstep", counting)
+        scenario = Scenario(benchmarks=tiny_spec(), policies=("srrip", "trrip-1"))
+        streamed = list(make_session().stream(scenario, jobs=1))
+        assert calls == [2]
+        assert [r.policy.canonical() for r, _ in streamed] == ["srrip", "trrip-1"]
 
     def test_checkpointed_sweep_replays_each_workload_in_lockstep(
         self, tmp_path, monkeypatch

@@ -158,7 +158,7 @@ class TestSharedCache:
             Scenario(cores=CONTENDERS, policies=("lru",))
         ).requests
         runner = tiny_session.runner
-        prepared = [runner.prepare(spec) for spec in request.cores]
+        prepared = [runner._prepare_resolved(spec) for spec in request.cores]
         traces = [runner.packed_traces(workload) for workload in prepared]
         simulator = MulticoreSimulator(
             request.config.with_l2_policy("lru"),

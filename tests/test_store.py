@@ -1,4 +1,4 @@
-"""Tests for the result store and the runner's cached path.
+"""Tests for the result store and the session's cached path.
 
 Every store-backed test in this module is parametrised over **all
 registered storage backends** (``dir`` and ``sqlite``): the assertions are
@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.pipeline import PipelineOptions
+from repro.api.scenario import Scenario
+from repro.api.session import Session
+from repro.core.pipeline import CoDesignPipeline, PipelineOptions
 from repro.experiments.backends import backend_names
-from repro.experiments.runner import BenchmarkRunner
 from repro.experiments.store import ResultStore, run_key
 from repro.sim.config import SimulatorConfig
 from repro.testing import damage_store_entry, read_quarantined_entry
@@ -68,41 +69,68 @@ class TestRunKey:
         assert config.content_hash() != SimulatorConfig.paper().content_hash()
 
 
+#: One scenario per kind of executor unit: a lockstep group, a
+#: reuse-tracking solo point and a two-core co-run.
+UNIT_SCENARIOS = {
+    "lockstep": Scenario(benchmarks=tiny_spec(), policies=("srrip", "trrip-1")),
+    "reuse": Scenario(benchmarks=tiny_spec(), policies="srrip", track_reuse=True),
+    "corun": Scenario(cores=(tiny_spec(), tiny_spec())),
+}
+
+
+def _grid(sweep):
+    """(benchmark, policy, result) triples of a sweep, benchmark-major."""
+    return [
+        (benchmark, policy, result)
+        for benchmark, row in sweep.results.items()
+        for policy, result in row.items()
+    ]
+
+
 class TestCachedRuns:
     def test_second_runner_serves_from_store_without_simulating(
         self, make_store, spec, config
     ):
-        first = BenchmarkRunner(config=config, store=make_store())
-        warm = first.run(spec, "trrip-1")
+        first = Session(config=config, store=make_store())
+        warm = first.run_one(spec, "trrip-1")
         assert first.simulations_run == 1
         assert first.store.writes == 1
 
-        second = BenchmarkRunner(config=config, store=make_store())
-        cached = second.run(spec, "trrip-1")
+        second = Session(config=config, store=make_store())
+        cached = second.run_one(spec, "trrip-1")
         assert second.simulations_run == 0
         assert second.store.hits == 1
         assert second.store.misses == 0
         # Bit-exact: the dataclass compares floats by identity.
         assert cached.result == warm.result
 
-    def test_cache_hit_still_exposes_prepared_workload(
-        self, make_store, spec, config
+    @pytest.mark.parametrize("kind", sorted(UNIT_SCENARIOS))
+    def test_cache_hit_skips_the_codesign_pipeline(
+        self, make_store, config, kind, monkeypatch
     ):
-        store = make_store()
-        BenchmarkRunner(config=config, store=make_store()).run(spec)
-        runner = BenchmarkRunner(config=config, store=store)
-        artifacts = runner.run(spec)
-        assert runner.simulations_run == 0
-        assert artifacts.prepared.spec == runner.resolve_spec(spec)
-        assert artifacts.prepared.binary is not None
+        """A store hit is a lookup: no unit kind prepares its workload."""
+        scenario = UNIT_SCENARIOS[kind]
+        filled = Session(config=config, store=make_store()).run(scenario)
+
+        def refuse(pipeline, spec):
+            raise AssertionError(f"a store hit prepared {spec.name}")
+
+        monkeypatch.setattr(CoDesignPipeline, "prepare", refuse)
+        replay = Session(config=config, store=make_store())
+        replayed = replay.run(scenario)
+        assert replay.simulations_run == 0
+        for fresh, cached in zip(filled, replayed):
+            assert cached.result.to_dict() == fresh.result.to_dict()
+            if fresh.reuse is not None:
+                assert cached.reuse.base.counts == fresh.reuse.base.counts
 
     def test_reuse_histograms_round_trip(self, make_store, spec, config):
-        first = BenchmarkRunner(config=config, store=make_store())
-        tracked = first.run(spec, track_reuse=True)
+        first = Session(config=config, store=make_store())
+        tracked = first.run_one(spec, track_reuse=True)
         assert first.simulations_run == 1
 
-        second = BenchmarkRunner(config=config, store=make_store())
-        cached = second.run(spec, track_reuse=True)
+        second = Session(config=config, store=make_store())
+        cached = second.run_one(spec, track_reuse=True)
         assert second.simulations_run == 0
         assert cached.reuse is not None
         assert cached.reuse.base.counts == tracked.reuse.base.counts
@@ -110,7 +138,7 @@ class TestCachedRuns:
 
         # A cached hit without track_reuse keeps the fresh-run artifact
         # shape: no tracker, even though the entry carries histograms.
-        untracked = second.run(spec)
+        untracked = second.run_one(spec)
         assert second.simulations_run == 0
         assert untracked.reuse is None
 
@@ -119,38 +147,38 @@ class TestCachedRuns:
     ):
         # First run does not track reuse; a later track_reuse=True request
         # must re-simulate and upgrade the entry in place.
-        BenchmarkRunner(config=config, store=make_store()).run(spec)
-        upgrading = BenchmarkRunner(config=config, store=make_store())
-        artifacts = upgrading.run(spec, track_reuse=True)
+        Session(config=config, store=make_store()).run_one(spec)
+        upgrading = Session(config=config, store=make_store())
+        artifacts = upgrading.run_one(spec, track_reuse=True)
         assert upgrading.simulations_run == 1
         assert artifacts.reuse is not None
 
-        third = BenchmarkRunner(config=config, store=make_store())
-        third.run(spec, track_reuse=True)
+        third = Session(config=config, store=make_store())
+        third.run_one(spec, track_reuse=True)
         assert third.simulations_run == 0
 
     def test_refresh_resimulates_but_rewrites(self, make_store, spec, config):
-        BenchmarkRunner(config=config, store=make_store()).run(spec)
-        refreshing = BenchmarkRunner(config=config, store=make_store(refresh=True))
-        refreshing.run(spec)
+        Session(config=config, store=make_store()).run_one(spec)
+        refreshing = Session(config=config, store=make_store(refresh=True))
+        refreshing.run_one(spec)
         assert refreshing.simulations_run == 1
         assert refreshing.store.writes == 1
 
-        after = BenchmarkRunner(config=config, store=make_store())
-        after.run(spec)
+        after = Session(config=config, store=make_store())
+        after.run_one(spec)
         assert after.simulations_run == 0
 
     def test_corrupt_entry_is_a_miss(self, make_store, spec, config):
         store = make_store()
-        runner = BenchmarkRunner(config=config, store=store)
-        runner.run(spec)
+        session = Session(config=config, store=store)
+        session.run_one(spec)
         keys = store.backend.keys("runs")
         assert len(keys) == 1
         damage_store_entry(store, keys[0], text="{not json")
 
         recovered_store = make_store()
-        recovered = BenchmarkRunner(config=config, store=recovered_store)
-        recovered.run(spec)
+        recovered = Session(config=config, store=recovered_store)
+        recovered.run_one(spec)
         assert recovered.simulations_run == 1
         assert recovered_store.corrupt == 1
 
@@ -158,13 +186,13 @@ class TestCachedRuns:
         self, make_store, spec, config
     ):
         """The damaged bytes move to quarantine; the slot is rewritten."""
-        runner = BenchmarkRunner(config=config, store=make_store())
-        runner.run(spec)
-        key = runner.store.backend.keys("runs")[0]
-        damage_store_entry(runner.store, key, text="{torn")
+        session = Session(config=config, store=make_store())
+        session.run_one(spec)
+        key = session.store.backend.keys("runs")[0]
+        damage_store_entry(session.store, key, text="{torn")
 
         store = make_store()
-        BenchmarkRunner(config=config, store=store).run(spec)
+        Session(config=config, store=store).run_one(spec)
         assert read_quarantined_entry(store, key) == "{torn"
         assert store.backend.quarantined("runs") == [key]
         # Re-simulated and atomically rewritten into the live slot.
@@ -172,7 +200,7 @@ class TestCachedRuns:
         assert store.corrupt == 1
         # The rewritten entry is healthy: a fresh store serves it as a hit.
         after = make_store()
-        BenchmarkRunner(config=config, store=after).run(spec)
+        Session(config=config, store=after).run_one(spec)
         assert (after.hits, after.corrupt) == (1, 0)
 
     def test_unreadable_entry_is_a_plain_miss_not_corrupt(
@@ -180,12 +208,12 @@ class TestCachedRuns:
     ):
         """A missing entry never counts toward the corrupt counter."""
         store = make_store()
-        BenchmarkRunner(config=config, store=store).run(spec)
+        Session(config=config, store=store).run_one(spec)
         assert (store.misses, store.corrupt) == (1, 0)
 
     def test_stats_mirror_the_counter_attributes(self, make_store, spec, config):
         store = make_store()
-        BenchmarkRunner(config=config, store=store).run(spec)
+        Session(config=config, store=store).run_one(spec)
         assert store.stats() == {
             "hits": 0,
             "misses": 1,
@@ -193,7 +221,7 @@ class TestCachedRuns:
             "corrupt": 0,
         }
         again = make_store()
-        BenchmarkRunner(config=config, store=again).run(spec)
+        Session(config=config, store=again).run_one(spec)
         assert again.stats() == {
             "hits": 1,
             "misses": 0,
@@ -202,15 +230,15 @@ class TestCachedRuns:
         }
 
     def test_different_configs_do_not_collide(self, make_store, spec, config):
-        small = BenchmarkRunner(config=config, store=make_store())
-        small_result = small.run(spec).result
+        small = Session(config=config, store=make_store())
+        small_result = small.run_one(spec).result
         big_config = config.with_l2_geometry(size_bytes=64 * 1024)
-        big = BenchmarkRunner(config=big_config, store=make_store())
-        big.run(spec)
+        big = Session(config=big_config, store=make_store())
+        big.run_one(spec)
         assert big.simulations_run == 1  # no false hit from the small config
 
-        again = BenchmarkRunner(config=config, store=make_store())
-        assert again.run(spec).result == small_result
+        again = Session(config=config, store=make_store())
+        assert again.run_one(spec).result == small_result
 
 
 class TestBackendSelection:
@@ -234,7 +262,7 @@ class TestBackendSelection:
         payloads = {}
         for name in backend_names():
             store = ResultStore(tmp_path / name, backend=name)
-            BenchmarkRunner(config=config, store=store).run(spec, "trrip-1")
+            Session(config=config, store=store).run_one(spec, "trrip-1")
             (key,) = store.backend.keys("runs")
             payloads[name] = (key, json.dumps(store.backend.load("runs", key)))
         (first, *rest) = payloads.values()
@@ -245,8 +273,7 @@ class TestResultSerialisation:
     def test_simulation_result_round_trips_exactly(self, spec, config):
         from repro.sim.results import SimulationResult
 
-        runner = BenchmarkRunner(config=config)
-        result = runner.run(spec, "trrip-1").result
+        result = Session(config=config).run_one(spec, "trrip-1").result
         assert result.line_stall_cycles  # non-trivial payload
         restored = SimulationResult.from_dict(result.to_dict())
         assert restored == result
@@ -263,25 +290,25 @@ class TestResultSerialisation:
 class TestParallelGridWithStore:
     def test_grid_workers_share_the_store(self, make_store, spec, config):
         store = make_store()
-        runner = BenchmarkRunner(config=config, store=store)
-        grid = runner.run_grid([spec], ["srrip", "trrip-1"], jobs=2)
+        session = Session(config=config, store=store)
+        grid = _grid(session.sweep([spec], ["srrip", "trrip-1"], jobs=2))
         assert len(grid) == 2
         # Workers wrote their runs into the shared store, and their
-        # counters were folded back into the parent runner.
+        # counters were folded back into the parent session.
         assert len(store.backend.keys("runs")) == 2
-        assert runner.simulations_run == 2
+        assert session.simulations_run == 2
         assert (store.misses, store.hits) == (2, 0)
 
-        serial = BenchmarkRunner(config=config, store=make_store())
-        replay = serial.run_grid([spec], ["srrip", "trrip-1"], jobs=None)
+        serial = Session(config=config, store=make_store())
+        replay = _grid(serial.sweep([spec], ["srrip", "trrip-1"], jobs=None))
         assert serial.simulations_run == 0
         assert [r for _, _, r in replay] == [r for _, _, r in grid]
 
     def test_parallel_replay_counts_hits(self, make_store, spec, config):
-        BenchmarkRunner(config=config, store=make_store()).run_grid(
+        Session(config=config, store=make_store()).sweep(
             [spec], ["srrip", "trrip-1"], jobs=2
         )
-        replay = BenchmarkRunner(config=config, store=make_store())
-        replay.run_grid([spec], ["srrip", "trrip-1"], jobs=2)
+        replay = Session(config=config, store=make_store())
+        replay.sweep([spec], ["srrip", "trrip-1"], jobs=2)
         assert replay.simulations_run == 0
         assert (replay.store.misses, replay.store.hits) == (0, 2)
