@@ -5,11 +5,23 @@ on PATH (``repro list`` / ``repro run figure3`` / ...).  Without installing,
 the same CLI is reachable as ``PYTHONPATH=src python -m repro.cli``.
 """
 
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
+
+
+def package_version() -> str:
+    """``repro.__version__``, read as text: building must not import it."""
+    init = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+    return re.search(
+        r'^__version__ = "([^"]+)"$', init.read_text(encoding="utf-8"), re.M
+    ).group(1)
+
 
 setup(
     name="repro-trrip",
-    version="0.3.0",
+    version=package_version(),
     description=(
         "Reproduction of TRRIP: temperature-based code-cache replacement "
         "via a compiler/OS/hardware co-design (simulator + experiments)"

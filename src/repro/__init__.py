@@ -24,29 +24,27 @@ Quick start::
     print(result.l2_inst_mpki, result.ipc)
 """
 
-from repro.common import MemoryRequest, Temperature
-from repro.core import CoDesignPipeline, PipelineOptions, PreparedWorkload, TRRIPPolicy
-from repro.sim import (
-    BASELINE_POLICY,
-    EVALUATED_POLICIES,
-    SimulationResult,
-    SimulatorConfig,
-    SystemSimulator,
-)
+from repro.common.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Temperature",
-    "MemoryRequest",
-    "TRRIPPolicy",
-    "CoDesignPipeline",
-    "PipelineOptions",
-    "PreparedWorkload",
-    "SimulatorConfig",
-    "SystemSimulator",
-    "SimulationResult",
-    "EVALUATED_POLICIES",
-    "BASELINE_POLICY",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".common": ("Temperature", "MemoryRequest"),
+        ".core": (
+            "TRRIPPolicy",
+            "CoDesignPipeline",
+            "PipelineOptions",
+            "PreparedWorkload",
+        ),
+        ".sim": (
+            "SimulatorConfig",
+            "SystemSimulator",
+            "SimulationResult",
+            "EVALUATED_POLICIES",
+            "BASELINE_POLICY",
+        ),
+    },
+)
+__all__ += ["__version__"]

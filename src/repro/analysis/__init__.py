@@ -1,31 +1,17 @@
 """Analysis utilities: reuse distance, miss coverage, power/area modelling."""
 
-from repro.analysis.coverage import (
-    DEFAULT_PERCENTILES,
-    CoverageResult,
-    costly_miss_coverage,
-)
-from repro.analysis.power import (
-    MechanismOverhead,
-    PowerAreaModel,
-    PowerAreaReport,
-)
-from repro.analysis.reuse import (
-    REUSE_BUCKETS,
-    ReuseDistanceTracker,
-    ReuseHistogram,
-    bucket_for_distance,
-)
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "ReuseDistanceTracker",
-    "ReuseHistogram",
-    "REUSE_BUCKETS",
-    "bucket_for_distance",
-    "CoverageResult",
-    "costly_miss_coverage",
-    "DEFAULT_PERCENTILES",
-    "PowerAreaModel",
-    "PowerAreaReport",
-    "MechanismOverhead",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".reuse": (
+            "ReuseDistanceTracker",
+            "ReuseHistogram",
+            "REUSE_BUCKETS",
+            "bucket_for_distance",
+        ),
+        ".coverage": ("CoverageResult", "costly_miss_coverage", "DEFAULT_PERCENTILES"),
+        ".power": ("PowerAreaModel", "PowerAreaReport", "MechanismOverhead"),
+    },
+)

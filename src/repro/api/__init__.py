@@ -30,44 +30,30 @@ Quickstart::
         print(request.benchmark, request.policy, artifacts.result.ipc)
 """
 
-from repro.api.scenario import RunPlan, RunRequest, Scenario
-from repro.api.session import Session
-from repro.cache.replacement.spec import (
-    POLICY_REGISTRY,
-    PolicyInfo,
-    PolicyParam,
-    PolicySpec,
-    describe_policies,
-    get_policy_info,
-    policy_names,
-)
-from repro.experiments.runner import RunArtifacts
-from repro.workloads.capture import TraceArchive
-from repro.workloads.families import (
-    WORKLOAD_FAMILIES,
-    WorkloadFamilySpec,
-    describe_families,
-    family_names,
-    get_family_info,
-)
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "Scenario",
-    "Session",
-    "RunPlan",
-    "RunRequest",
-    "RunArtifacts",
-    "PolicySpec",
-    "PolicyInfo",
-    "PolicyParam",
-    "POLICY_REGISTRY",
-    "policy_names",
-    "get_policy_info",
-    "describe_policies",
-    "WorkloadFamilySpec",
-    "WORKLOAD_FAMILIES",
-    "family_names",
-    "get_family_info",
-    "describe_families",
-    "TraceArchive",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".scenario": ("Scenario", "RunPlan", "RunRequest"),
+        ".session": ("Session",),
+        "repro.experiments.runner": ("RunArtifacts",),
+        "repro.cache.replacement.spec": (
+            "PolicySpec",
+            "PolicyInfo",
+            "PolicyParam",
+            "POLICY_REGISTRY",
+            "policy_names",
+            "get_policy_info",
+            "describe_policies",
+        ),
+        "repro.workloads.families": (
+            "WorkloadFamilySpec",
+            "WORKLOAD_FAMILIES",
+            "family_names",
+            "get_family_info",
+            "describe_families",
+        ),
+        "repro.workloads.capture": ("TraceArchive",),
+    },
+)

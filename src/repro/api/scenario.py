@@ -23,8 +23,12 @@ from typing import Iterable, Optional, Sequence, Union
 from repro.cache.replacement.spec import PolicySpec
 from repro.common.errors import ConfigurationError, ReproError
 from repro.core.pipeline import PipelineOptions
-from repro.sim.config import BASELINE_POLICY, SimulatorConfig, named_config
-from repro.sim.multicore import normalize_interleave
+from repro.sim.config import (
+    BASELINE_POLICY,
+    SimulatorConfig,
+    named_config,
+    normalize_interleave,
+)
 from repro.workloads.families import WorkloadFamilySpec, resolve_workload
 from repro.workloads.spec import WorkloadSpec, resolve_spec, tiny_spec
 

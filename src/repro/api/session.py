@@ -208,7 +208,7 @@ class Session:
         worker as ``StoredRun``s and become ``RunArtifacts`` here, so every
         point is a ``RunArtifacts``, bit-identical for every ``jobs`` value.
         """
-        from repro.experiments.runner import RunArtifacts
+        from repro.experiments.runner import RunArtifacts, import_engine
         from repro.experiments.supervisor import (
             SupervisedPool,
             SupervisionPolicy,
@@ -232,6 +232,7 @@ class Session:
                     runs[index] = run
         if not tasks:
             return runs
+        import_engine()
         pool = SupervisedPool(
             _run_task,
             workers=workers,
@@ -255,6 +256,9 @@ class Session:
             for outcome in pool.outcomes:
                 if outcome.status == "done":
                     self.runner.fold_worker_counters(*outcome.value[1:])
+            # The workers loaded the pooled units' held entries themselves.
+            if self.store is not None:
+                self.store.forget_held()
         report.raise_on_failure()
         for task, outcome in zip(tasks, report.outcomes):
             for position, done in zip(task, outcome.value[0]):

@@ -1,28 +1,21 @@
 """Cache hierarchy substrate: caches, prefetchers and replacement policies."""
 
-from repro.cache.block import CacheBlock
-from repro.cache.cache import SetAssociativeCache
-from repro.cache.hierarchy import CacheHierarchy, CacheLevelConfig, HierarchyConfig
-from repro.cache.prefetch import (
-    NextLinePrefetcher,
-    NullPrefetcher,
-    Prefetcher,
-    StridePrefetcher,
-    make_prefetcher,
-)
-from repro.cache.stats import CacheStats, HierarchyStats
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "CacheBlock",
-    "SetAssociativeCache",
-    "CacheHierarchy",
-    "CacheLevelConfig",
-    "HierarchyConfig",
-    "CacheStats",
-    "HierarchyStats",
-    "Prefetcher",
-    "NullPrefetcher",
-    "NextLinePrefetcher",
-    "StridePrefetcher",
-    "make_prefetcher",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".block": ("CacheBlock",),
+        ".cache": ("SetAssociativeCache",),
+        ".hierarchy": ("CacheHierarchy",),
+        ".config": ("CacheLevelConfig", "HierarchyConfig"),
+        ".stats": ("CacheStats", "HierarchyStats"),
+        ".prefetch": (
+            "Prefetcher",
+            "NullPrefetcher",
+            "NextLinePrefetcher",
+            "StridePrefetcher",
+            "make_prefetcher",
+        ),
+    },
+)

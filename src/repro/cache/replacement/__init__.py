@@ -1,36 +1,19 @@
 """Cache replacement policies evaluated by the paper (plus baselines)."""
 
-from repro.cache.replacement.base import ReplacementPolicy
-from repro.cache.replacement.basic import FIFOPolicy, LRUPolicy, RandomPolicy
-from repro.cache.replacement.belady import OptimalPolicy
-from repro.cache.replacement.clip import CLIPPolicy
-from repro.cache.replacement.drrip import DRRIPPolicy
-from repro.cache.replacement.dueling import (
-    Constituency,
-    SaturatingCounter,
-    SetDuelingController,
-)
-from repro.cache.replacement.emissary import EmissaryPolicy
-from repro.cache.replacement.factory import available_policies, create_policy
-from repro.cache.replacement.rrip import BRRIPPolicy, RRIPBase, SRRIPPolicy
-from repro.cache.replacement.ship import SHiPPolicy
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "ReplacementPolicy",
-    "LRUPolicy",
-    "FIFOPolicy",
-    "RandomPolicy",
-    "RRIPBase",
-    "SRRIPPolicy",
-    "BRRIPPolicy",
-    "DRRIPPolicy",
-    "SHiPPolicy",
-    "CLIPPolicy",
-    "EmissaryPolicy",
-    "OptimalPolicy",
-    "SetDuelingController",
-    "SaturatingCounter",
-    "Constituency",
-    "available_policies",
-    "create_policy",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".base": ("ReplacementPolicy",),
+        ".basic": ("LRUPolicy", "FIFOPolicy", "RandomPolicy"),
+        ".rrip": ("RRIPBase", "SRRIPPolicy", "BRRIPPolicy"),
+        ".drrip": ("DRRIPPolicy",),
+        ".ship": ("SHiPPolicy",),
+        ".clip": ("CLIPPolicy",),
+        ".emissary": ("EmissaryPolicy",),
+        ".belady": ("OptimalPolicy",),
+        ".dueling": ("SetDuelingController", "SaturatingCounter", "Constituency"),
+        ".factory": ("available_policies", "create_policy"),
+    },
+)

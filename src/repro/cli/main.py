@@ -1,4 +1,9 @@
-"""Argument parsing and subcommand implementations for ``repro``."""
+"""Argument parsing and subcommand implementations for ``repro``.
+
+Each subcommand imports what only it runs (the HTTP client, the server, the
+sweep views, the bench harness) inside its handler, so a command loads no
+other command's code.
+"""
 
 from __future__ import annotations
 
@@ -12,8 +17,8 @@ from repro.api.session import Session
 from repro.cache.replacement.factory import available_policies
 from repro.cache.replacement.spec import PolicySpec, describe_policies
 from repro.cli.serialize import render_csv, to_jsonable
-from repro.client import DEFAULT_PORT, URL_ENV_VAR
 from repro.common.errors import ConfigurationError, WorkloadError
+from repro.common.service import DEFAULT_PORT, URL_ENV_VAR
 from repro.experiments.backends import backend_names
 from repro.experiments.registry import (
     REGISTRY,
@@ -22,8 +27,6 @@ from repro.experiments.registry import (
     get_experiment,
 )
 from repro.experiments.store import ResultStore
-from repro.experiments.table3 import format_table3
-from repro.experiments.figure6 import format_figure6
 from repro.sim.config import BASELINE_POLICY, EVALUATED_POLICIES, NAMED_CONFIGS
 from repro.workloads.capture import TraceArchive
 from repro.workloads.families import describe_families
@@ -773,6 +776,9 @@ def _cmd_run(args) -> int:
 
 
 def _render_sweep(sweep) -> str:
+    from repro.experiments.figure6 import format_figure6
+    from repro.experiments.table3 import format_table3
+
     return (
         "== Speedup over SRRIP (Figure 6 view)\n"
         + format_figure6(sweep)

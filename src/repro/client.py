@@ -39,12 +39,7 @@ from urllib.parse import urlsplit
 
 from repro.common.errors import JobTimeout, ReproError
 from repro.common.faults import fire_point
-
-#: Default port of ``repro serve`` (and the ``repro submit|...`` commands).
-DEFAULT_PORT = 8642
-
-#: Environment override for the service URL used by the CLI client commands.
-URL_ENV_VAR = "REPRO_SERVER_URL"
+from repro.common.service import DEFAULT_PORT, URL_ENV_VAR
 
 #: Job states the server reports as final.
 TERMINAL_STATES = ("done", "failed")

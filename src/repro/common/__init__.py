@@ -6,41 +6,28 @@ exchange :class:`~repro.common.request.MemoryRequest` objects and
 :class:`~repro.common.temperature.Temperature` values without import cycles.
 """
 
-from repro.common.temperature import Temperature
-from repro.common.request import AccessType, HitLevel, MemoryRequest, AccessResult
-from repro.common.addressing import (
-    CACHE_LINE_SIZE,
-    line_address,
-    line_index,
-    line_offset,
-    page_number,
-    page_offset,
-    align_down,
-    align_up,
-)
-from repro.common.errors import (
-    ReproError,
-    ConfigurationError,
-    SimulationError,
-    WorkloadError,
-)
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "Temperature",
-    "AccessType",
-    "HitLevel",
-    "MemoryRequest",
-    "AccessResult",
-    "CACHE_LINE_SIZE",
-    "line_address",
-    "line_index",
-    "line_offset",
-    "page_number",
-    "page_offset",
-    "align_down",
-    "align_up",
-    "ReproError",
-    "ConfigurationError",
-    "SimulationError",
-    "WorkloadError",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".temperature": ("Temperature",),
+        ".request": ("AccessType", "HitLevel", "MemoryRequest", "AccessResult"),
+        ".addressing": (
+            "CACHE_LINE_SIZE",
+            "line_address",
+            "line_index",
+            "line_offset",
+            "page_number",
+            "page_offset",
+            "align_down",
+            "align_up",
+        ),
+        ".errors": (
+            "ReproError",
+            "ConfigurationError",
+            "SimulationError",
+            "WorkloadError",
+        ),
+    },
+)

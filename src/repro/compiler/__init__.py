@@ -1,31 +1,15 @@
 """Synthetic compiler / PGO substrate (Figure 4, steps 1-5)."""
 
-from repro.compiler.classify import (
-    ClassifierConfig,
-    TemperatureClassifier,
-    TemperatureMap,
-)
-from repro.compiler.elf import ELFImage, ELFSection, ProgramHeader
-from repro.compiler.ir import BasicBlock, BlockId, Function, Program, make_function
-from repro.compiler.layout import CodeLayoutEngine, LayoutConfig
-from repro.compiler.pgo import CompiledBinary, PGOCompiler
-from repro.compiler.profile import InstrumentationProfile
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "BasicBlock",
-    "BlockId",
-    "Function",
-    "Program",
-    "make_function",
-    "InstrumentationProfile",
-    "ClassifierConfig",
-    "TemperatureClassifier",
-    "TemperatureMap",
-    "CodeLayoutEngine",
-    "LayoutConfig",
-    "ELFImage",
-    "ELFSection",
-    "ProgramHeader",
-    "CompiledBinary",
-    "PGOCompiler",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".ir": ("BasicBlock", "BlockId", "Function", "Program", "make_function"),
+        ".profile": ("InstrumentationProfile",),
+        ".classify": ("ClassifierConfig", "TemperatureClassifier", "TemperatureMap"),
+        ".layout": ("CodeLayoutEngine", "LayoutConfig"),
+        ".elf": ("ELFImage", "ELFSection", "ProgramHeader"),
+        ".pgo": ("CompiledBinary", "PGOCompiler"),
+    },
+)

@@ -1,15 +1,11 @@
 """The paper's contribution: the TRRIP policy and the co-design pipeline."""
 
-from repro.core.pipeline import (
-    CoDesignPipeline,
-    PipelineOptions,
-    PreparedWorkload,
-)
-from repro.core.trrip import TRRIPPolicy
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "TRRIPPolicy",
-    "CoDesignPipeline",
-    "PipelineOptions",
-    "PreparedWorkload",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".trrip": ("TRRIPPolicy",),
+        ".pipeline": ("CoDesignPipeline", "PipelineOptions", "PreparedWorkload"),
+    },
+)

@@ -16,23 +16,29 @@ Setting ``apply_pgo=False`` produces the non-PGO baseline of Figure 2;
 system whose loader ignores the temperature attributes (hardware-only
 baselines like SRRIP/CLIP/Emissary do not need the bits, and TRRIP degrades
 gracefully to SRRIP behaviour).
+
+The stages load when they run: a run key or a store hit needs only
+:class:`PipelineOptions`, so importing this module imports none of the
+compiler, loader, builder, profiler or trace generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.compiler.classify import ClassifierConfig
-from repro.compiler.layout import LayoutConfig
-from repro.compiler.pgo import CompiledBinary, PGOCompiler
-from repro.compiler.profile import InstrumentationProfile
-from repro.osmodel.loader import LoadedProgram, LoaderConfig, OverlapPolicy, ProgramLoader
-from repro.osmodel.mmu import MMU
-from repro.workloads.builder import SyntheticProgramBuilder, SyntheticWorkload
-from repro.workloads.profiling import collect_profile
+from repro.osmodel.pages import OverlapPolicy
 from repro.workloads.spec import InputSet, WorkloadSpec
-from repro.workloads.tracegen import TraceGenerator
+
+if TYPE_CHECKING:
+    from repro.compiler.classify import ClassifierConfig
+    from repro.compiler.layout import LayoutConfig
+    from repro.compiler.pgo import CompiledBinary
+    from repro.compiler.profile import InstrumentationProfile
+    from repro.osmodel.loader import LoadedProgram, LoaderConfig
+    from repro.osmodel.mmu import MMU
+    from repro.workloads.builder import SyntheticWorkload
+    from repro.workloads.tracegen import TraceGenerator
 
 
 @dataclass
@@ -60,18 +66,24 @@ class PipelineOptions:
         )
 
     def classifier_config(self) -> ClassifierConfig:
+        from repro.compiler.classify import ClassifierConfig
+
         return ClassifierConfig(
             percentile_hot=self.percentile_hot,
             percentile_cold=max(self.percentile_cold, self.percentile_hot),
         )
 
     def layout_config(self) -> LayoutConfig:
+        from repro.compiler.layout import LayoutConfig
+
         return LayoutConfig(
             pad_sections_to_page=self.pad_sections_to_page,
             page_size=self.page_size,
         )
 
     def loader_config(self) -> LoaderConfig:
+        from repro.osmodel.loader import LoaderConfig
+
         return LoaderConfig(
             page_size=self.page_size,
             overlap_policy=self.overlap_policy,
@@ -92,12 +104,16 @@ class PreparedWorkload:
 
     def mmu(self) -> MMU:
         """A fresh MMU over the loaded program's page table."""
+        from repro.osmodel.mmu import MMU
+
         return MMU(self.loaded.page_table)
 
     def trace_generator(
         self, input_set: InputSet = InputSet.EVALUATION
     ) -> TraceGenerator:
         """A fresh trace generator over the compiled binary."""
+        from repro.workloads.tracegen import TraceGenerator
+
         return TraceGenerator(self.workload, self.binary, input_set)
 
     @property
@@ -110,12 +126,16 @@ class CoDesignPipeline:
 
     def __init__(self, options: PipelineOptions | None = None) -> None:
         self.options = options or PipelineOptions()
-        self._builder = SyntheticProgramBuilder()
 
     def prepare(self, spec: WorkloadSpec) -> PreparedWorkload:
         """Run the full software-side flow for ``spec``."""
+        from repro.compiler.pgo import PGOCompiler
+        from repro.osmodel.loader import ProgramLoader
+        from repro.workloads.builder import SyntheticProgramBuilder
+        from repro.workloads.profiling import collect_profile
+
         options = self.options
-        workload = self._builder.build(spec)
+        workload = SyntheticProgramBuilder().build(spec)
         compiler = PGOCompiler(
             classifier_config=options.classifier_config(),
             layout_config=options.layout_config(),

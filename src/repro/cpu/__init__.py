@@ -1,29 +1,20 @@
 """CPU core substrate: branch prediction, frontend, backend, Top-Down."""
 
-from repro.cpu.backend import BackendConfig, BackendModel, BackendStats
-from repro.cpu.branch import (
-    BranchPredictionUnit,
-    BranchPredictorConfig,
-    BranchStats,
-    PredictionOutcome,
-)
-from repro.cpu.core import CoreConfig, CoreModel, CoreResult
-from repro.cpu.frontend import FetchEngine, FrontendConfig, FrontendStats
-from repro.cpu.topdown import TopDownBreakdown
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "BranchPredictionUnit",
-    "BranchPredictorConfig",
-    "BranchStats",
-    "PredictionOutcome",
-    "FetchEngine",
-    "FrontendConfig",
-    "FrontendStats",
-    "BackendModel",
-    "BackendConfig",
-    "BackendStats",
-    "CoreModel",
-    "CoreConfig",
-    "CoreResult",
-    "TopDownBreakdown",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".config": (
+            "BranchPredictorConfig",
+            "FrontendConfig",
+            "BackendConfig",
+            "CoreConfig",
+        ),
+        ".branch": ("BranchPredictionUnit", "BranchStats", "PredictionOutcome"),
+        ".frontend": ("FetchEngine", "FrontendStats"),
+        ".backend": ("BackendModel", "BackendStats"),
+        ".core": ("CoreModel", "CoreResult"),
+        ".topdown": ("TopDownBreakdown",),
+    },
+)

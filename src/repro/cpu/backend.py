@@ -22,26 +22,7 @@ from repro.common.request import (
     ScratchRequest,
 )
 from repro.common.translation import AddressTranslator, IdentityTranslator
-
-
-@dataclass
-class BackendConfig:
-    """Backend (OoO execution) model parameters."""
-
-    rob_entries: int = 128
-    #: Latency (cycles) fully hidden by out-of-order execution / MLP.
-    hide_latency: int = 24
-    #: Fraction of the *exposed* data-access latency that still overlaps with
-    #: useful work (memory-level parallelism).  0.0 = fully exposed.
-    overlap_fraction: float = 0.85
-
-    def validate(self) -> None:
-        if self.rob_entries <= 0:
-            raise ValueError("rob_entries must be positive")
-        if self.hide_latency < 0:
-            raise ValueError("hide_latency must be non-negative")
-        if not 0.0 <= self.overlap_fraction < 1.0:
-            raise ValueError("overlap_fraction must be in [0, 1)")
+from repro.cpu.config import BackendConfig
 
 
 @dataclass

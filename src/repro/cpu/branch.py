@@ -14,34 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.trace import TraceRecord
-
-
-@dataclass
-class BranchPredictorConfig:
-    """Sizing of the branch prediction structures (Table 1 defaults)."""
-
-    btb_entries: int = 1024
-    indirect_btb_entries: int = 512
-    loop_predictor_entries: int = 256
-    global_predictor_entries: int = 1024
-    history_bits: int = 10
-    return_stack_entries: int = 16
-    mispredict_penalty: int = 8
-
-    def validate(self) -> None:
-        for name in (
-            "btb_entries",
-            "indirect_btb_entries",
-            "loop_predictor_entries",
-            "global_predictor_entries",
-            "return_stack_entries",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.history_bits <= 0 or self.history_bits > 24:
-            raise ValueError("history_bits must be in (0, 24]")
-        if self.mispredict_penalty < 0:
-            raise ValueError("mispredict_penalty must be non-negative")
+from repro.cpu.config import BranchPredictorConfig
 
 
 @dataclass

@@ -44,9 +44,10 @@ from repro.common.trace import (
     TraceRecord,
 )
 from repro.common.translation import AddressTranslator
-from repro.cpu.backend import BackendConfig, BackendModel
-from repro.cpu.branch import BranchPredictionUnit, BranchPredictorConfig
-from repro.cpu.frontend import FetchEngine, FrontendConfig
+from repro.cpu.backend import BackendModel
+from repro.cpu.branch import BranchPredictionUnit
+from repro.cpu.config import CoreConfig
+from repro.cpu.frontend import FetchEngine
 from repro.cpu.topdown import TopDownBreakdown
 
 
@@ -68,26 +69,6 @@ def _retire_total(increment: float, count: int) -> float:
             total += increment
         _RETIRE_SUMS[key] = total
     return total
-
-
-@dataclass
-class CoreConfig:
-    """Core-level parameters (Table 1: 6-wide dispatch, 128-entry ROB, 2 GHz)."""
-
-    dispatch_width: int = 6
-    frequency_ghz: float = 2.0
-    frontend: FrontendConfig = field(default_factory=FrontendConfig)
-    backend: BackendConfig = field(default_factory=BackendConfig)
-    branch: BranchPredictorConfig = field(default_factory=BranchPredictorConfig)
-
-    def validate(self) -> None:
-        if self.dispatch_width <= 0:
-            raise ValueError("dispatch_width must be positive")
-        if self.frequency_ghz <= 0:
-            raise ValueError("frequency_ghz must be positive")
-        self.frontend.validate()
-        self.backend.validate()
-        self.branch.validate()
 
 
 @dataclass

@@ -26,30 +26,7 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.common.addressing import CACHE_LINE_SIZE, line_address
 from repro.common.request import AccessResult, AccessType, MemoryRequest
 from repro.common.translation import AddressTranslator, IdentityTranslator
-
-
-@dataclass
-class FrontendConfig:
-    """Fetch engine configuration."""
-
-    #: Whether the decoupled pseudo-FDIP frontend is enabled at all.
-    fdip_enabled: bool = True
-    #: Cycles of fetch latency the decoupled frontend hides by running ahead
-    #: of decode along the predicted path.
-    fdip_lead_cycles: float = 8.0
-    #: Latency (cycles) the fetch/decode buffer can absorb without starving
-    #: decode; anything above this (plus the FDIP lead) is an ifetch stall.
-    fetch_buffer_slack: int = 3
-    #: Maximum number of distinct starved lines remembered for Emissary hints.
-    starvation_table_entries: int = 4096
-
-    def validate(self) -> None:
-        if self.fdip_lead_cycles < 0:
-            raise ValueError("fdip_lead_cycles must be non-negative")
-        if self.fetch_buffer_slack < 0:
-            raise ValueError("fetch_buffer_slack must be non-negative")
-        if self.starvation_table_entries <= 0:
-            raise ValueError("starvation_table_entries must be positive")
+from repro.cpu.config import FrontendConfig
 
 
 @dataclass

@@ -25,7 +25,7 @@ from typing import Sequence
 from repro.api.scenario import Scenario
 from repro.api.session import Session
 from repro.core.pipeline import PipelineOptions
-from repro.osmodel.loader import OverlapPolicy
+from repro.osmodel.pages import OverlapPolicy
 from repro.sim.config import BASELINE_POLICY, SimulatorConfig
 
 

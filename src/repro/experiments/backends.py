@@ -61,14 +61,16 @@ from __future__ import annotations
 
 import json
 import os
-import sqlite3
 import tempfile
 import time
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.common.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    import sqlite3
 
 try:  # POSIX only; claims degrade to best-effort without it
     import fcntl
@@ -351,6 +353,8 @@ class SQLiteBackend(StoreBackend):
         return self.root / self.FILENAME
 
     def _connect(self) -> sqlite3.Connection:
+        import sqlite3
+
         self.root.mkdir(parents=True, exist_ok=True)
         connection = sqlite3.connect(self.database_path, timeout=30.0)
         connection.execute(
@@ -371,6 +375,8 @@ class SQLiteBackend(StoreBackend):
         return connection
 
     def load(self, space: str, key: str) -> Optional[dict]:
+        import sqlite3
+
         try:
             with self._connect() as connection:
                 row = connection.execute(

@@ -25,7 +25,7 @@ from repro.api.scenario import Scenario
 from repro.api.session import Session
 from repro.cache.replacement.spec import PolicySpec
 from repro.common.errors import ConfigurationError
-from repro.sim.multicore import MulticoreResult
+from repro.sim.results import MulticoreResult
 
 #: Default co-run pair: a cache-sensitive skewed-reuse stream next to a
 #: streaming scan — the classic victim/aggressor contention shape.

@@ -6,17 +6,19 @@ tests all enumerate the same catalog instead of hard-coding module lists.
 An entry bundles the paper artifact it reproduces, an adapter that runs it
 from a shared :class:`ExperimentContext` (config + session + optional
 benchmark subset), and the formatter that renders its result as text.
+An entry's module is imported only when the experiment runs or formats, so
+listing the catalog or running one experiment loads no other experiment's
+code.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 from repro.api.session import Session
 from repro.cache.replacement.spec import PolicySpec
-from repro.experiments import ablations, figure3, figure6, figure7, figure8
-from repro.experiments import figure9, interference, table3, tables, topdown_figures
 from repro.experiments.store import ResultStore
 from repro.sim.config import SimulatorConfig
 from repro.workloads.families import (
@@ -122,14 +124,24 @@ def experiment_names() -> tuple[str, ...]:
     return tuple(REGISTRY)
 
 
+def _module(name: str):
+    """The experiment module ``repro.experiments.<name>``, imported on use."""
+    return importlib.import_module(f"repro.experiments.{name}")
+
+
+def _formatter(module: str, name: str) -> Callable[[Any], str]:
+    """The formatter ``name`` of an experiment module, imported on use."""
+    return lambda result: getattr(_module(module), name)(result)
+
+
 # --------------------------------------------------------------------- catalog
 register(
     Experiment(
         name="table1",
         artifact="Table 1",
         description="simulator configuration (paper-scale hierarchy and core)",
-        run=lambda ctx: tables.run_table1(),
-        format=tables.format_table1,
+        run=lambda ctx: _module("tables").run_table1(),
+        format=_formatter("tables", "format_table1"),
         simulates=False,
     )
 )
@@ -138,8 +150,8 @@ register(
         name="table2",
         artifact="Table 2",
         description="benchmarks, input sets and instruction windows",
-        run=lambda ctx: tables.run_table2(benchmarks=ctx.benchmarks),
-        format=tables.format_table2,
+        run=lambda ctx: _module("tables").run_table2(benchmarks=ctx.benchmarks),
+        format=_formatter("tables", "format_table2"),
         simulates=False,
     )
 )
@@ -148,10 +160,10 @@ register(
         name="figure1",
         artifact="Figure 1",
         description="Top-Down breakdown of the PGO'd mobile system components",
-        run=lambda ctx: topdown_figures.run_figure1(
+        run=lambda ctx: _module("topdown_figures").run_figure1(
             components=ctx.benchmarks, session=ctx.session
         ),
-        format=topdown_figures.format_topdown_rows,
+        format=_formatter("topdown_figures", "format_topdown_rows"),
     )
 )
 register(
@@ -159,10 +171,10 @@ register(
         name="figure2",
         artifact="Figure 2",
         description="Top-Down breakdown of the proxies, non-PGO vs. PGO",
-        run=lambda ctx: topdown_figures.run_figure2(
+        run=lambda ctx: _module("topdown_figures").run_figure2(
             benchmarks=ctx.benchmarks, session=ctx.session
         ),
-        format=topdown_figures.format_topdown_rows,
+        format=_formatter("topdown_figures", "format_topdown_rows"),
     )
 )
 register(
@@ -170,10 +182,10 @@ register(
         name="figure3",
         artifact="Figure 3",
         description="reuse-distance distribution of hot instruction lines",
-        run=lambda ctx: figure3.run_figure3(
+        run=lambda ctx: _module("figure3").run_figure3(
             benchmarks=ctx.benchmarks, session=ctx.session
         ),
-        format=figure3.format_figure3,
+        format=_formatter("figure3", "format_figure3"),
     )
 )
 register(
@@ -181,12 +193,12 @@ register(
         name="figure6",
         artifact="Figure 6",
         description="speedup of every evaluated policy over SRRIP",
-        run=lambda ctx: figure6.run_figure6(
+        run=lambda ctx: _module("figure6").run_figure6(
             benchmarks=ctx.benchmarks,
             policies=ctx.policies,
             session=ctx.session,
         ),
-        format=figure6.format_figure6,
+        format=_formatter("figure6", "format_figure6"),
         supports_policies=True,
     )
 )
@@ -195,12 +207,12 @@ register(
         name="table3",
         artifact="Table 3",
         description="raw SRRIP L2 MPKI and per-policy MPKI reductions",
-        run=lambda ctx: table3.run_table3(
+        run=lambda ctx: _module("table3").run_table3(
             benchmarks=ctx.benchmarks,
             policies=ctx.policies,
             session=ctx.session,
         ),
-        format=table3.format_table3,
+        format=_formatter("table3", "format_table3"),
         supports_policies=True,
     )
 )
@@ -209,8 +221,8 @@ register(
         name="table4",
         artifact="Table 4",
         description="static power and area overheads of the mechanisms",
-        run=lambda ctx: tables.run_table4(),
-        format=tables.format_table4,
+        run=lambda ctx: _module("tables").run_table4(),
+        format=_formatter("tables", "format_table4"),
         simulates=False,
     )
 )
@@ -219,10 +231,10 @@ register(
         name="figure7",
         artifact="Figure 7",
         description="coverage of costly instruction misses by the hot section",
-        run=lambda ctx: figure7.run_figure7(
+        run=lambda ctx: _module("figure7").run_figure7(
             benchmarks=ctx.benchmarks, session=ctx.session
         ),
-        format=figure7.format_figure7,
+        format=_formatter("figure7", "format_figure7"),
     )
 )
 register(
@@ -230,10 +242,10 @@ register(
         name="figure8",
         artifact="Figure 8",
         description="sensitivity to the compiler hot threshold",
-        run=lambda ctx: figure8.run_figure8(
+        run=lambda ctx: _module("figure8").run_figure8(
             benchmarks=ctx.benchmarks, session=ctx.session
         ),
-        format=figure8.format_figure8,
+        format=_formatter("figure8", "format_figure8"),
     )
 )
 register(
@@ -241,10 +253,10 @@ register(
         name="figure9a",
         artifact="Figure 9a",
         description="L2 size sensitivity of TRRIP-1, CLIP and Emissary",
-        run=lambda ctx: figure9.run_figure9a(
+        run=lambda ctx: _module("figure9").run_figure9a(
             benchmarks=ctx.benchmarks, session=ctx.session
         ),
-        format=figure9.format_figure9a,
+        format=_formatter("figure9", "format_figure9a"),
     )
 )
 register(
@@ -252,10 +264,10 @@ register(
         name="figure9b",
         artifact="Figure 9b",
         description="L2 associativity sensitivity of TRRIP-1",
-        run=lambda ctx: figure9.run_figure9b(
+        run=lambda ctx: _module("figure9").run_figure9b(
             benchmarks=ctx.benchmarks, session=ctx.session
         ),
-        format=figure9.format_figure9b,
+        format=_formatter("figure9", "format_figure9b"),
     )
 )
 register(
@@ -263,14 +275,14 @@ register(
         name="interference",
         artifact="Contention",
         description="co-run vs solo slowdown per core over one shared L2/SLC",
-        run=lambda ctx: interference.run_interference(
+        run=lambda ctx: _module("interference").run_interference(
             cores=ctx.cores,
             policies=ctx.policies,
             interleave=ctx.interleave,
             benchmarks=ctx.benchmarks,
             session=ctx.session,
         ),
-        format=interference.format_interference,
+        format=_formatter("interference", "format_interference"),
         supports_policies=True,
     )
 )
@@ -279,8 +291,8 @@ register(
         name="table5",
         artifact="Table 5",
         description="hot/warm page counts per page size and binary sizes",
-        run=lambda ctx: tables.run_table5(benchmarks=ctx.benchmarks),
-        format=tables.format_table5,
+        run=lambda ctx: _module("tables").run_table5(benchmarks=ctx.benchmarks),
+        format=_formatter("tables", "format_table5"),
         simulates=False,
     )
 )
@@ -289,10 +301,10 @@ register(
         name="ablation-page-size",
         artifact="Section 4.9",
         description="page-size / overlap-handling ablation for TRRIP-1",
-        run=lambda ctx: ablations.run_page_size_ablation(
+        run=lambda ctx: _module("ablations").run_page_size_ablation(
             benchmark=ctx.first_benchmark("sqlite"), session=ctx.session
         ),
-        format=ablations.format_page_size_ablation,
+        format=_formatter("ablations", "format_page_size_ablation"),
         single_benchmark=True,
     )
 )
@@ -301,10 +313,10 @@ register(
         name="ablation-kill-switch",
         artifact="adoption argument",
         description="TRRIP with temperature bits disabled degrades to SRRIP",
-        run=lambda ctx: ablations.run_kill_switch_ablation(
+        run=lambda ctx: _module("ablations").run_kill_switch_ablation(
             benchmark=ctx.first_benchmark("sqlite"), session=ctx.session
         ),
-        format=ablations.format_kill_switch,
+        format=_formatter("ablations", "format_kill_switch"),
         single_benchmark=True,
     )
 )

@@ -18,11 +18,14 @@ A runner may additionally be given a persistent
 determined by (resolved spec, policy, simulator config, pipeline options),
 a store hit skips the simulation *and* the co-design pipeline: a run is its
 result and its reuse histograms, nothing more.  The store is forwarded to
-pool workers, so parallel sweeps fill and reuse the same cache.
+pool workers, so parallel sweeps fill and reuse the same cache.  The
+pipeline's stages and the replay engine are imported only when a point has
+to be simulated (:func:`import_engine`).
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -37,19 +40,36 @@ from repro.experiments.store import (
     run_key,
 )
 from repro.common.errors import ConfigurationError
-from repro.sim.config import BASELINE_POLICY, SimulatorConfig
-from repro.sim.multicore import (
-    MulticoreResult,
-    MulticoreSimulator,
-    normalize_interleave,
-)
-from repro.sim.results import SimulationResult
-from repro.sim.simulator import SystemSimulator
+from repro.sim.config import BASELINE_POLICY, SimulatorConfig, normalize_interleave
+from repro.sim.results import MulticoreResult, SimulationResult
 from repro.workloads.capture import TraceArchive
 from repro.workloads.spec import InputSet, WorkloadSpec
 
 if TYPE_CHECKING:  # the api package imports this module at load time
     from repro.api.scenario import RunRequest
+
+#: What simulating a point runs beyond this module's own imports: the
+#: co-design pipeline's stages and the solo, lockstep and co-run replay.
+ENGINE_MODULES = (
+    "repro.workloads.builder",
+    "repro.workloads.profiling",
+    "repro.compiler.pgo",
+    "repro.osmodel.loader",
+    "repro.osmodel.mmu",
+    "repro.workloads.tracegen",
+    "repro.sim.multicore",
+    "repro.core.trrip",
+)
+
+
+def import_engine() -> None:
+    """Import :data:`ENGINE_MODULES`.
+
+    Called before a worker pool forks, so the workers inherit the engine
+    instead of each compiling it again.
+    """
+    for name in ENGINE_MODULES:
+        importlib.import_module(name)
 
 
 @dataclass
@@ -57,7 +77,7 @@ class RunArtifacts:
     """A simulation result plus its reuse histograms, when requested.
 
     ``result`` is a :class:`~repro.sim.results.SimulationResult` for
-    single-core points and a :class:`~repro.sim.multicore.MulticoreResult`
+    single-core points and a :class:`~repro.sim.results.MulticoreResult`
     for interleaved multi-core points.  The prepared workload behind a run
     is not part of it: a store hit never prepares one, and callers that
     need the binary ask :meth:`repro.api.session.Session.prepare`.
@@ -197,8 +217,6 @@ class BenchmarkRunner:
         only the missing policies are simulated; fresh results are stored
         under the same keys solo runs use.
         """
-        from repro.sim.simulator import run_lockstep
-
         wanted = [PolicySpec.of(policy) for policy in policies]
         effective_options = options or self.pipeline_options
         base_config = config or self.config
@@ -217,17 +235,21 @@ class BenchmarkRunner:
             pending.append((position, policy, run_config, key))
 
         if pending:
+            # Looked up at call time: the traced benchmark launcher wraps
+            # the module attribute.
+            from repro.sim import simulator
+
             prepared = self._prepare_resolved(spec, effective_options)
             warmup, measured = self.packed_traces(prepared)
             simulators = [
-                SystemSimulator(
+                simulator.SystemSimulator(
                     run_config,
                     translator=prepared.mmu(),
                     benchmark=prepared.spec.name,
                 )
                 for _, _, run_config, _ in pending
             ]
-            results = run_lockstep(simulators, warmup, measured)
+            results = simulator.run_lockstep(simulators, warmup, measured)
             self.simulations_run += len(pending)
             for (position, policy, run_config, key), result in zip(
                 pending, results
@@ -258,7 +280,7 @@ class BenchmarkRunner:
         Store-cached like :meth:`run_resolved`, under
         :func:`~repro.experiments.store.multicore_run_key` — the key space
         is disjoint from single-core entries.  The returned artifacts carry
-        a :class:`~repro.sim.multicore.MulticoreResult`.
+        a :class:`~repro.sim.results.MulticoreResult`.
         """
         policy = PolicySpec.of(policy)
         specs = list(specs)
@@ -276,6 +298,8 @@ class BenchmarkRunner:
             cached = self.store.load_multicore(key)
             if cached is not None:
                 return RunArtifacts(result=cached)
+
+        from repro.sim.multicore import MulticoreSimulator
 
         prepared_cores = [
             self._prepare_resolved(spec, effective_options) for spec in specs
@@ -309,6 +333,8 @@ class BenchmarkRunner:
         run_config: SimulatorConfig,
     ) -> RunArtifacts:
         """Actually execute one simulation (always counts as a fresh run)."""
+        from repro.sim.simulator import SystemSimulator
+
         prepared = self._prepare_resolved(spec, options)
         warmup, measured = self.packed_traces(prepared)
         simulator = SystemSimulator(

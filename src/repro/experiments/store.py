@@ -45,8 +45,7 @@ from repro.common.faults import fire_point
 from repro.common.hashing import canonical_payload, stable_hash
 from repro.core.pipeline import PipelineOptions
 from repro.sim.config import SimulatorConfig
-from repro.sim.multicore import MulticoreResult
-from repro.sim.results import SimulationResult
+from repro.sim.results import MulticoreResult, SimulationResult
 from repro.workloads.spec import WorkloadSpec
 
 #: Bump when the cached-entry format (or anything about what a key covers)
@@ -182,6 +181,8 @@ class ResultStore:
         self.writes = 0
         #: Corrupted/truncated entries quarantined during lookups.
         self.corrupt = 0
+        #: Entries :meth:`holds` read, kept for the load that follows it.
+        self._held: dict[str, dict] = {}
 
     def stats(self) -> dict[str, int]:
         """Counter snapshot: ``{"hits", "misses", "writes", "corrupt"}``.
@@ -210,9 +211,7 @@ class ResultStore:
         scheduler use it so units later executed by a worker are not
         double-counted.
         """
-        entry = None
-        if not self.refresh:
-            entry = self._read_entry("runs", key)
+        entry = self._read_run(key)
         if entry is not None and entry.get("schema") == SCHEMA_VERSION:
             reuse = entry.get("reuse")
             if not need_reuse or reuse is not None:
@@ -232,13 +231,18 @@ class ResultStore:
         """Whether :meth:`load_run` (or :meth:`load_multicore`) would hit
         ``key``, counting neither a hit nor a miss: the executor probes a
         plan with it, so a point later loaded or simulated by a pool worker
-        is counted once."""
+        is counted once.  A held entry is kept for the next load of
+        ``key`` (:meth:`forget_held` drops those no load took), so probing
+        and loading read the store once."""
         entry = None if self.refresh else self._read_entry("runs", key)
-        return (
+        held = (
             entry is not None
             and entry.get("schema") == SCHEMA_VERSION
             and (not need_reuse or entry.get("reuse") is not None)
         )
+        if held:
+            self._held[key] = entry
+        return held
 
     def save_run(
         self,
@@ -277,9 +281,7 @@ class ResultStore:
         self, key: str, record: bool = True
     ) -> Optional[MulticoreResult]:
         """The cached multi-core run for ``key``, or ``None`` on a miss."""
-        entry = None
-        if not self.refresh:
-            entry = self._read_entry("runs", key)
+        entry = self._read_run(key)
         if (
             entry is not None
             and entry.get("schema") == SCHEMA_VERSION
@@ -330,7 +332,19 @@ class ResultStore:
             return entry
         return None
 
+    def forget_held(self) -> None:
+        """Drop the entries :meth:`holds` kept that no load has taken."""
+        self._held.clear()
+
     # -------------------------------------------------------------- internals
+    def _read_run(self, key: str) -> Optional[dict]:
+        """The run entry under ``key``: the one :meth:`holds` read, if any,
+        else from the backend (nothing under ``refresh``)."""
+        entry = self._held.pop(key, None)
+        if entry is None and not self.refresh:
+            entry = self._read_entry("runs", key)
+        return entry
+
     def _read_entry(self, space: str, key: str) -> Optional[dict]:
         try:
             return self.backend.load(space, key)

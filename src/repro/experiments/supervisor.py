@@ -44,13 +44,11 @@ which the supervisor already treats as a crash of that worker alone.
 from __future__ import annotations
 
 import heapq
-import multiprocessing
 import os
 import pickle
 import random
 import time
 import traceback
-from multiprocessing import connection
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
@@ -62,7 +60,11 @@ def pool_context():
 
     Prefers ``fork`` (cheap, inherits loaded modules and the fault-injection
     environment) and falls back to the platform default elsewhere.
+    :mod:`multiprocessing` is imported here, when a pool starts, so a run
+    that forks no worker does not load it.
     """
+    import multiprocessing
+
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
@@ -439,6 +441,8 @@ class SupervisedPool:
         return min(max(min(horizon), 0.005), 0.25)
 
     def _drain(self, pending, timeout: float) -> None:
+        from multiprocessing import connection
+
         block = True
         broken: set = set()
         while True:

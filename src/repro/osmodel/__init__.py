@@ -1,31 +1,22 @@
 """Operating-system substrate: pages, page tables, loader and MMU."""
 
-from repro.osmodel.loader import LoadedProgram, LoaderConfig, OverlapPolicy, ProgramLoader
-from repro.osmodel.mmu import MMU, MMUStats
-from repro.osmodel.page_table import PageTable
-from repro.osmodel.pages import (
-    PAGE_SIZE_2M,
-    PAGE_SIZE_4K,
-    PAGE_SIZE_16K,
-    SUPPORTED_PAGE_SIZES,
-    PageTableEntry,
-    count_pages_by_temperature,
-    pages_spanned,
-)
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "ProgramLoader",
-    "LoaderConfig",
-    "LoadedProgram",
-    "OverlapPolicy",
-    "MMU",
-    "MMUStats",
-    "PageTable",
-    "PageTableEntry",
-    "count_pages_by_temperature",
-    "pages_spanned",
-    "PAGE_SIZE_4K",
-    "PAGE_SIZE_16K",
-    "PAGE_SIZE_2M",
-    "SUPPORTED_PAGE_SIZES",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".loader": ("ProgramLoader", "LoaderConfig", "LoadedProgram"),
+        ".mmu": ("MMU", "MMUStats"),
+        ".page_table": ("PageTable",),
+        ".pages": (
+            "OverlapPolicy",
+            "PageTableEntry",
+            "count_pages_by_temperature",
+            "pages_spanned",
+            "PAGE_SIZE_4K",
+            "PAGE_SIZE_16K",
+            "PAGE_SIZE_2M",
+            "SUPPORTED_PAGE_SIZES",
+        ),
+    },
+)

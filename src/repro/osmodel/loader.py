@@ -17,7 +17,6 @@ sections of different temperature (increasingly likely with large pages).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 from repro.common.errors import LoaderError
@@ -25,15 +24,7 @@ from repro.common.temperature import Temperature
 from repro.compiler.elf import ELFImage
 from repro.compiler.pgo import CompiledBinary
 from repro.osmodel.page_table import PageTable
-from repro.osmodel.pages import pages_spanned
-
-
-class OverlapPolicy(enum.Enum):
-    """How to tag a page that overlaps sections of different temperature."""
-
-    MAJORITY = "majority"
-    DISABLE = "disable"
-    FIRST = "first"
+from repro.osmodel.pages import OverlapPolicy, pages_spanned
 
 
 @dataclass

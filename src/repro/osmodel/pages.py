@@ -9,17 +9,29 @@ the physical frame and permissions, a two-bit ``attribute`` field decoded as a
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.common.errors import LoaderError
 from repro.common.temperature import Temperature
-from repro.compiler.elf import ELFImage
+
+if TYPE_CHECKING:
+    from repro.compiler.elf import ELFImage
 
 #: Page sizes exercised by Table 5 of the paper.
 PAGE_SIZE_4K = 4 * 1024
 PAGE_SIZE_16K = 16 * 1024
 PAGE_SIZE_2M = 2 * 1024 * 1024
 SUPPORTED_PAGE_SIZES = (PAGE_SIZE_4K, PAGE_SIZE_16K, PAGE_SIZE_2M)
+
+
+class OverlapPolicy(enum.Enum):
+    """How to tag a page that overlaps sections of different temperature."""
+
+    MAJORITY = "majority"
+    DISABLE = "disable"
+    FIRST = "first"
 
 
 @dataclass

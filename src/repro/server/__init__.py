@@ -32,19 +32,14 @@ everything up as ``repro serve`` / ``repro submit`` / ``repro status`` /
 ``repro result``.  Everything is stdlib-only — no new dependencies.
 """
 
-from repro.server.app import ReproServer
-from repro.server.jobs import Job, JobManager, QueueFullError, ShuttingDownError
-from repro.server.journal import SubmissionJournal, summarize_journals
-from repro.server.submission import SubmissionError, parse_submission
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "Job",
-    "JobManager",
-    "QueueFullError",
-    "ReproServer",
-    "ShuttingDownError",
-    "SubmissionError",
-    "SubmissionJournal",
-    "parse_submission",
-    "summarize_journals",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".jobs": ("Job", "JobManager", "QueueFullError", "ShuttingDownError"),
+        ".app": ("ReproServer",),
+        ".submission": ("SubmissionError", "parse_submission"),
+        ".journal": ("SubmissionJournal", "summarize_journals"),
+    },
+)

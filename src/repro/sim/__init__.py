@@ -1,30 +1,24 @@
 """Simulation driver: configurations, the system simulator and results."""
 
-from repro.sim.config import (
-    BASELINE_POLICY,
-    EVALUATED_POLICIES,
-    SimulatorConfig,
-    table1_rows,
-)
-from repro.sim.results import (
-    SimulationResult,
-    geomean_reduction,
-    geomean_speedup,
-    geometric_mean,
-)
-from repro.sim.multicore import MulticoreResult, MulticoreSimulator
-from repro.sim.simulator import SystemSimulator
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "MulticoreResult",
-    "MulticoreSimulator",
-    "SimulatorConfig",
-    "table1_rows",
-    "EVALUATED_POLICIES",
-    "BASELINE_POLICY",
-    "SystemSimulator",
-    "SimulationResult",
-    "geometric_mean",
-    "geomean_speedup",
-    "geomean_reduction",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".results": (
+            "MulticoreResult",
+            "SimulationResult",
+            "geometric_mean",
+            "geomean_speedup",
+            "geomean_reduction",
+        ),
+        ".multicore": ("MulticoreSimulator",),
+        ".config": (
+            "SimulatorConfig",
+            "table1_rows",
+            "EVALUATED_POLICIES",
+            "BASELINE_POLICY",
+        ),
+        ".simulator": ("SystemSimulator",),
+    },
+)

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
-from repro.cache.hierarchy import CacheLevelConfig, HierarchyConfig
+from repro.cache.config import CacheLevelConfig, HierarchyConfig
 from repro.cache.replacement.spec import PolicySpec
 from repro.common.errors import ConfigurationError
 from repro.common.hashing import canonical_payload, stable_hash
-from repro.cpu.core import CoreConfig
+from repro.cpu.config import CoreConfig
 
 KB = 1024
 MB = 1024 * KB
@@ -240,6 +241,26 @@ def named_config(name: str) -> SimulatorConfig:
             f"{', '.join(NAMED_CONFIGS)}"
         )
     return constructor()
+
+
+def normalize_interleave(
+    interleave: Optional[Sequence[int]], cores: int
+) -> tuple[int, ...]:
+    """Validate an interleave ratio against a core count.
+
+    ``None`` or empty means plain round-robin (one instruction per core per
+    turn).  Otherwise one positive integer quantum per core.
+    """
+    if not interleave:
+        return (1,) * cores
+    ratio = tuple(int(value) for value in interleave)
+    if len(ratio) != cores:
+        raise ConfigurationError(
+            f"interleave ratio has {len(ratio)} entries for {cores} cores"
+        )
+    if any(value <= 0 for value in ratio):
+        raise ConfigurationError("interleave quanta must be positive integers")
+    return ratio
 
 
 def table1_rows(config: SimulatorConfig | None = None) -> list[tuple[str, str]]:

@@ -19,7 +19,6 @@ performs byte-for-byte the single-core state transitions, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.cache.hierarchy import CacheHierarchy, SharedCacheSystem
@@ -28,8 +27,8 @@ from repro.common.temperature import Temperature
 from repro.common.trace import PackedTrace
 from repro.common.translation import AddressTranslator, IdentityTranslator
 from repro.cpu.core import CoreModel, CoreResult, run_lanes
-from repro.sim.config import SimulatorConfig
-from repro.sim.results import SimulationResult
+from repro.sim.config import SimulatorConfig, normalize_interleave
+from repro.sim.results import MulticoreResult
 from repro.sim.simulator import package_result
 
 #: Physical-address window shift per core: each core's translated addresses
@@ -51,77 +50,6 @@ class CoreAddressSpace:
     def translate_data(self, vaddr: int) -> tuple[int, Temperature]:
         paddr, temperature = self._inner.translate_data(vaddr)
         return paddr + self._offset, temperature
-
-
-def normalize_interleave(
-    interleave: Optional[Sequence[int]], cores: int
-) -> tuple[int, ...]:
-    """Validate an interleave ratio against a core count.
-
-    ``None`` or empty means plain round-robin (one instruction per core per
-    turn).  Otherwise one positive integer quantum per core.
-    """
-    if not interleave:
-        return (1,) * cores
-    ratio = tuple(int(value) for value in interleave)
-    if len(ratio) != cores:
-        raise ConfigurationError(
-            f"interleave ratio has {len(ratio)} entries for {cores} cores"
-        )
-    if any(value <= 0 for value in ratio):
-        raise ConfigurationError("interleave quanta must be positive integers")
-    return ratio
-
-
-@dataclass
-class MulticoreResult:
-    """Outcome of one interleaved multi-core run."""
-
-    #: Per-core results, index-aligned with the scenario's core list.
-    cores: list[SimulationResult]
-    #: Instructions interleaved per core per scheduler turn.
-    interleave: tuple[int, ...]
-    #: Resident shared-L2 lines per owning core at end of run.
-    occupancy: dict[int, int]
-    #: Core -> its lines evicted from the shared L2 by *other* cores.
-    inter_core_evictions: dict[int, int]
-    #: Core -> other cores' lines its own fills evicted.
-    evictions_caused: dict[int, int]
-
-    @property
-    def total_inter_core_evictions(self) -> int:
-        return sum(self.inter_core_evictions.values())
-
-    # ---------------------------------------------------------- serialisation
-    def to_dict(self) -> dict:
-        """JSON-serialisable form; round-trips exactly via :meth:`from_dict`."""
-        return {
-            "cores": [result.to_dict() for result in self.cores],
-            "interleave": list(self.interleave),
-            "occupancy": {str(k): v for k, v in self.occupancy.items()},
-            "inter_core_evictions": {
-                str(k): v for k, v in self.inter_core_evictions.items()
-            },
-            "evictions_caused": {
-                str(k): v for k, v in self.evictions_caused.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MulticoreResult":
-        return cls(
-            cores=[
-                SimulationResult.from_dict(entry) for entry in payload["cores"]
-            ],
-            interleave=tuple(payload["interleave"]),
-            occupancy={int(k): v for k, v in payload["occupancy"].items()},
-            inter_core_evictions={
-                int(k): v for k, v in payload["inter_core_evictions"].items()
-            },
-            evictions_caused={
-                int(k): v for k, v in payload["evictions_caused"].items()
-            },
-        )
 
 
 class MulticoreSimulator:

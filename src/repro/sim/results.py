@@ -81,6 +81,57 @@ class SimulationResult:
         return cls(**data)
 
 
+@dataclass
+class MulticoreResult:
+    """Outcome of one interleaved multi-core run."""
+
+    #: Per-core results, index-aligned with the scenario's core list.
+    cores: list[SimulationResult]
+    #: Instructions interleaved per core per scheduler turn.
+    interleave: tuple[int, ...]
+    #: Resident shared-L2 lines per owning core at end of run.
+    occupancy: dict[int, int]
+    #: Core -> its lines evicted from the shared L2 by *other* cores.
+    inter_core_evictions: dict[int, int]
+    #: Core -> other cores' lines its own fills evicted.
+    evictions_caused: dict[int, int]
+
+    @property
+    def total_inter_core_evictions(self) -> int:
+        return sum(self.inter_core_evictions.values())
+
+    # ---------------------------------------------------------- serialisation
+    def to_dict(self) -> dict:
+        """JSON-serialisable form; round-trips exactly via :meth:`from_dict`."""
+        return {
+            "cores": [result.to_dict() for result in self.cores],
+            "interleave": list(self.interleave),
+            "occupancy": {str(k): v for k, v in self.occupancy.items()},
+            "inter_core_evictions": {
+                str(k): v for k, v in self.inter_core_evictions.items()
+            },
+            "evictions_caused": {
+                str(k): v for k, v in self.evictions_caused.items()
+            },
+        }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "MulticoreResult":
+        return cls(
+            cores=[
+                SimulationResult.from_dict(entry) for entry in payload["cores"]
+            ],
+            interleave=tuple(payload["interleave"]),
+            occupancy={int(k): v for k, v in payload["occupancy"].items()},
+            inter_core_evictions={
+                int(k): v for k, v in payload["inter_core_evictions"].items()
+            },
+            evictions_caused={
+                int(k): v for k, v in payload["evictions_caused"].items()
+            },
+        )
+
+
 def _reduction_percent(baseline: float, value: float) -> float:
     if baseline <= 0:
         return 0.0

@@ -1,64 +1,40 @@
 """Synthetic workload substrate: specs, families, builder, capture, traces."""
 
-from repro.workloads.behavior import ControlFlowModel, FunctionCall
-from repro.workloads.capture import TraceArchive, trace_key
-from repro.workloads.families import (
-    WORKLOAD_FAMILIES,
-    FamilyInfo,
-    WorkloadFamilySpec,
-    describe_families,
-    family_names,
-    get_family_info,
-    is_family_token,
-    resolve_workload,
-)
-from repro.workloads.builder import (
-    DATA_REUSE_BASE,
-    DATA_STREAM_BASE,
-    SyntheticProgramBuilder,
-    SyntheticWorkload,
-)
-from repro.workloads.profiling import PROFILE_TRIP_MULTIPLIER, collect_profile
-from repro.workloads.spec import (
-    PROXY_BENCHMARK_NAMES,
-    PROXY_BENCHMARKS,
-    SYSTEM_COMPONENT_NAMES,
-    SYSTEM_COMPONENTS,
-    InputSet,
-    WorkloadSpec,
-    all_proxy_specs,
-    all_system_specs,
-    get_spec,
-)
-from repro.workloads.tracegen import TraceGenerator
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "WorkloadSpec",
-    "InputSet",
-    "WORKLOAD_FAMILIES",
-    "FamilyInfo",
-    "WorkloadFamilySpec",
-    "describe_families",
-    "family_names",
-    "get_family_info",
-    "is_family_token",
-    "resolve_workload",
-    "TraceArchive",
-    "trace_key",
-    "PROXY_BENCHMARKS",
-    "PROXY_BENCHMARK_NAMES",
-    "SYSTEM_COMPONENTS",
-    "SYSTEM_COMPONENT_NAMES",
-    "get_spec",
-    "all_proxy_specs",
-    "all_system_specs",
-    "SyntheticProgramBuilder",
-    "SyntheticWorkload",
-    "DATA_STREAM_BASE",
-    "DATA_REUSE_BASE",
-    "ControlFlowModel",
-    "FunctionCall",
-    "collect_profile",
-    "PROFILE_TRIP_MULTIPLIER",
-    "TraceGenerator",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".spec": (
+            "WorkloadSpec",
+            "InputSet",
+            "PROXY_BENCHMARKS",
+            "PROXY_BENCHMARK_NAMES",
+            "SYSTEM_COMPONENTS",
+            "SYSTEM_COMPONENT_NAMES",
+            "get_spec",
+            "all_proxy_specs",
+            "all_system_specs",
+        ),
+        ".families": (
+            "WORKLOAD_FAMILIES",
+            "FamilyInfo",
+            "WorkloadFamilySpec",
+            "describe_families",
+            "family_names",
+            "get_family_info",
+            "is_family_token",
+            "resolve_workload",
+        ),
+        ".capture": ("TraceArchive", "trace_key"),
+        ".builder": (
+            "SyntheticProgramBuilder",
+            "SyntheticWorkload",
+            "DATA_STREAM_BASE",
+            "DATA_REUSE_BASE",
+        ),
+        ".behavior": ("ControlFlowModel", "FunctionCall"),
+        ".profiling": ("collect_profile", "PROFILE_TRIP_MULTIPLIER"),
+        ".tracegen": ("TraceGenerator",),
+    },
+)

@@ -328,6 +328,22 @@ class TestBench:
         assert set(floors["scalar_speedup_floors"]) == set(report["shapes"])
 
 
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter importing ``repro`` from this tree."""
+    src_dir = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src_dir)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
 class TestWithoutNumPy:
     """NumPy is optional: only Figure 7's coverage ranking imports it."""
 
@@ -335,23 +351,11 @@ class TestWithoutNumPy:
     def run_blocked(*argv: str) -> subprocess.CompletedProcess:
         """``repro <argv>`` in a fresh interpreter where ``import numpy``
         fails (a ``None`` entry in ``sys.modules`` blocks the import)."""
-        src_dir = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(src_dir)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        code = (
+        return run_python(
             "import sys\n"
             "sys.modules['numpy'] = None\n"
             "from repro.cli.main import main\n"
             f"sys.exit(main({list(argv)!r}))\n"
-        )
-        return subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
         )
 
     def test_tiny_run_needs_no_numpy(self):
@@ -363,6 +367,128 @@ class TestWithoutNumPy:
         done = self.run_blocked("run", "figure7", "--tiny", "--no-cache")
         assert done.returncode == 1
         assert "NumPy" in done.stderr
+
+
+#: Code only simulating a point, serving or calling a daemon runs: a
+#: command that does none of these must not import it.
+UNUSED_ON_STARTUP = (
+    "repro.cpu.core",
+    "repro.cpu.frontend",
+    "repro.cpu.backend",
+    "repro.cpu.branch",
+    "repro.cache.cache",
+    "repro.cache.hierarchy",
+    "repro.sim.simulator",
+    "repro.sim.multicore",
+    "repro.osmodel.loader",
+    "repro.workloads.builder",
+    "repro.workloads.tracegen",
+    "repro.client",
+    "http.client",
+    "sqlite3",
+    "multiprocessing",
+)
+
+#: Packages none of whose modules that command may import.
+UNUSED_PACKAGES_ON_STARTUP = ("repro.compiler", "repro.server")
+
+#: Every package whose ``__init__`` resolves its public names on first use.
+LAZY_PACKAGES = (
+    "repro",
+    "repro.api",
+    "repro.experiments",
+    "repro.cache",
+    "repro.cache.replacement",
+    "repro.sim",
+    "repro.workloads",
+    "repro.core",
+    "repro.cpu",
+    "repro.compiler",
+    "repro.osmodel",
+    "repro.analysis",
+    "repro.common",
+    "repro.server",
+)
+
+
+class TestStartup:
+    """A ``repro`` process imports only the code its command runs."""
+
+    @staticmethod
+    def fresh_python(code: str) -> list[str]:
+        """Run ``code`` in a fresh interpreter; the modules it left loaded."""
+        done = run_python(
+            code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+        )
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+
+    @staticmethod
+    def unused(modules: list[str]) -> list[str]:
+        return [
+            name
+            for name in modules
+            if name in UNUSED_ON_STARTUP
+            or any(
+                name == package or name.startswith(package + ".")
+                for package in UNUSED_PACKAGES_ON_STARTUP
+            )
+        ]
+
+    def test_parser_module_imports_no_engine(self):
+        assert self.unused(self.fresh_python("import repro.cli.main")) == []
+
+    def test_warm_run_imports_no_engine(self, tmp_path):
+        argv = ["run", "table3", "--tiny", "--store", str(tmp_path)]
+        argv += ["--store-backend", "dir"]
+        assert main(argv) == 0
+        modules = self.fresh_python(
+            f"from repro.cli.main import main\nassert main({argv!r}) == 0"
+        )
+        assert self.unused(modules) == []
+
+    def test_every_public_name_resolves(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8"
+        )
+        quickstart = [
+            line
+            for line in readme.splitlines()
+            if line.startswith("from repro") and " import " in line
+        ]
+        assert quickstart
+        code = "\n".join(
+            [
+                "import importlib",
+                f"for name in {list(LAZY_PACKAGES)!r}:",
+                "    package = importlib.import_module(name)",
+                "    for attr in package.__all__:",
+                "        getattr(package, attr)",
+                "        assert attr in dir(package), (name, attr)",
+                "from repro import *",
+                "from repro import CoDesignPipeline, SimulatorConfig, SystemSimulator",
+                "from repro.workloads import get_spec, InputSet",
+                *quickstart,
+            ]
+        )
+        assert "repro.sim.simulator" in self.fresh_python(code)
+
+
+class TestVersion:
+    def test_setup_ships_the_package_version(self):
+        """``setup.py`` reads the version from ``repro/__init__.py``."""
+        import repro
+
+        root = Path(__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "setup.py", "--version"],
+            capture_output=True,
+            text=True,
+            cwd=root,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split()[-1] == repro.__version__
 
 
 class TestReport:

@@ -18,7 +18,7 @@ from repro.api.scenario import Scenario
 from repro.api.session import Session
 from repro.core.pipeline import CoDesignPipeline, PipelineOptions
 from repro.experiments.backends import backend_names
-from repro.experiments.store import ResultStore, run_key
+from repro.experiments.store import ResultStore, multicore_run_key, run_key
 from repro.sim.config import SimulatorConfig
 from repro.testing import damage_store_entry, read_quarantined_entry
 from repro.workloads.spec import tiny_spec
@@ -67,6 +67,20 @@ class TestRunKey:
     def test_config_content_hash_is_stable(self, config):
         assert config.content_hash() == SimulatorConfig.scaled().content_hash()
         assert config.content_hash() != SimulatorConfig.paper().content_hash()
+
+    def test_keys_are_pinned(self, spec, config):
+        """Users' stores are keyed by these hashes: moving a config class or
+        changing a default must not silently orphan every stored run."""
+        options = PipelineOptions()
+        assert config.content_hash() == (
+            "e4936b512547cc93976e2d865ae829fe9966c5ceccd2545b33cdc4f8fc357250"
+        )
+        assert run_key(
+            spec, "trrip-1", config.with_l2_policy("trrip-1"), options
+        ) == ("77c19bf3ec94d057342f2b966834259ea87758f5e9c03dc48276555d6729b2f2")
+        assert multicore_run_key(
+            (spec, spec), "srrip", config.with_l2_policy("srrip"), options, (2, 1)
+        ) == ("195681ad0bd2555323dd070552a9d473d6e300305d5241203e92077c382ae773")
 
 
 #: One scenario per kind of executor unit: a lockstep group, a
@@ -123,6 +137,42 @@ class TestCachedRuns:
             assert cached.result.to_dict() == fresh.result.to_dict()
             if fresh.reuse is not None:
                 assert cached.reuse.base.counts == fresh.reuse.base.counts
+
+    def test_warm_plan_reads_each_point_once(self, make_store, config, monkeypatch):
+        """The executor's store probe and the load after it share one read
+        per point, and every point still counts one hit."""
+        scenario = Scenario(
+            benchmarks=("tiny", "zipf:alpha=1.2,instructions=6000,warmup=2000"),
+            policies=("srrip", "trrip-1"),
+        )
+        Session(config=config, store=make_store()).run(scenario)
+        store = make_store()
+        reads = []
+        load = store.backend.load
+        monkeypatch.setattr(
+            store.backend,
+            "load",
+            lambda space, key: reads.append(key) or load(space, key),
+        )
+        replay = Session(config=config, store=store)
+        replay.run(scenario, jobs=2)
+        assert replay.simulations_run == 0
+        assert (store.hits, store.misses) == (4, 0)
+        assert len(reads) == len(set(reads)) == 4
+
+    def test_pooled_plan_keeps_no_held_entries(self, make_store, config):
+        """Units that go to pool workers hold a stored point and a missing
+        one: each point counts once, and the parent keeps no probed entry."""
+        workloads = ("tiny", "zipf:alpha=1.2,instructions=6000,warmup=2000")
+        Session(config=config, store=make_store()).run(
+            Scenario(benchmarks=workloads, policies="srrip")
+        )
+        store = make_store()
+        session = Session(config=config, store=store)
+        session.run(Scenario(benchmarks=workloads, policies=("srrip", "lru")), jobs=2)
+        assert session.simulations_run == 2
+        assert (store.hits, store.misses) == (2, 2)
+        assert store._held == {}
 
     def test_reuse_histograms_round_trip(self, make_store, spec, config):
         first = Session(config=config, store=make_store())
