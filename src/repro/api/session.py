@@ -208,7 +208,7 @@ class Session:
         worker as ``StoredRun``s and become ``RunArtifacts`` here, so every
         point is a ``RunArtifacts``, bit-identical for every ``jobs`` value.
         """
-        from repro.experiments.runner import RunArtifacts, import_engine
+        from repro.experiments.runner import RunArtifacts
         from repro.experiments.supervisor import (
             SupervisedPool,
             SupervisionPolicy,
@@ -217,56 +217,59 @@ class Session:
 
         jobs = self.jobs if jobs is None else jobs
         units = self._units(requests)
-        tasks = []
-        if jobs not in (None, 1) and len(units) > 1:
-            tasks = self._tasks(requests, units)
-        workers = worker_count(jobs, len(tasks))
-        if workers < 2:
-            tasks = []
-        pooled = {position for task in tasks for position in task}
-        runs: list = [None] * len(requests)
-        for position, unit in enumerate(units):
-            if position not in pooled:
-                done = self._run_unit([requests[index] for index in unit])
-                for index, run in zip(unit, done):
-                    runs[index] = run
-        if not tasks:
-            return runs
-        import_engine()
-        pool = SupervisedPool(
-            _run_task,
-            workers=workers,
-            initializer=_init_task_worker,
-            initargs=(self.config, self.store, self.options, self.traces),
-            # All or nothing, like a bare Pool.map (no retries, stop on the
-            # first failure), with supervised teardown: a crash or a
-            # KeyboardInterrupt terminates and joins every child.
-            policy=SupervisionPolicy(max_retries=0, keep_going=False),
-        )
-        payloads = [
-            [[requests[index] for index in units[position]] for position in task]
-            for task in tasks
-        ]
         try:
-            report = pool.run(payloads)
+            tasks = []
+            if jobs not in (None, 1) and len(units) > 1:
+                tasks = self._tasks(requests, units)
+            workers = worker_count(jobs, len(tasks))
+            if workers < 2:
+                tasks = []
+            pooled = {position for task in tasks for position in task}
+            runs: list = [None] * len(requests)
+            for position, unit in enumerate(units):
+                if position not in pooled:
+                    done = self._run_unit([requests[index] for index in unit])
+                    for index, run in zip(unit, done):
+                        runs[index] = run
+            if not tasks:
+                return runs
+            pool = SupervisedPool(
+                _run_task,
+                workers=workers,
+                initializer=_init_task_worker,
+                initargs=(self.config, self.store, self.options, self.traces),
+                # All or nothing, like a bare Pool.map (no retries, stop on the
+                # first failure), with supervised teardown: a crash or a
+                # KeyboardInterrupt terminates and joins every child.
+                policy=SupervisionPolicy(max_retries=0, keep_going=False),
+            )
+            payloads = [
+                [[requests[index] for index in units[position]] for position in task]
+                for task in tasks
+            ]
+            try:
+                report = pool.run(payloads)
+            finally:
+                # Worker counters die with the pool; fold back every completed
+                # task, even when the run was interrupted, so the store and
+                # archive stats reflect the work that landed durably.
+                for outcome in pool.outcomes:
+                    if outcome.status == "done":
+                        self.runner.fold_worker_counters(*outcome.value[1:])
+            report.raise_on_failure()
+            for task, outcome in zip(tasks, report.outcomes):
+                for position, done in zip(task, outcome.value[0]):
+                    for index, run in zip(units[position], done):
+                        runs[index] = RunArtifacts(
+                            result=run.result, reuse=run.reuse_tracker()
+                        )
+            return runs
         finally:
-            # Worker counters die with the pool; fold back every completed
-            # task, even when the run was interrupted, so the store and
-            # archive stats reflect the work that landed durably.
-            for outcome in pool.outcomes:
-                if outcome.status == "done":
-                    self.runner.fold_worker_counters(*outcome.value[1:])
-            # The workers loaded the pooled units' held entries themselves.
+            # The probe in _tasks keeps the entries it read for the loads
+            # that follow; drop those no load here took (pooled units load
+            # in their workers, and an exception leaves units unrun).
             if self.store is not None:
                 self.store.forget_held()
-        report.raise_on_failure()
-        for task, outcome in zip(tasks, report.outcomes):
-            for position, done in zip(task, outcome.value[0]):
-                for index, run in zip(units[position], done):
-                    runs[index] = RunArtifacts(
-                        result=run.result, reuse=run.reuse_tracker()
-                    )
-        return runs
 
     @staticmethod
     def _units(requests: Sequence[RunRequest]) -> list[list[int]]:

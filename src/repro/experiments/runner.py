@@ -20,12 +20,11 @@ a store hit skips the simulation *and* the co-design pipeline: a run is its
 result and its reuse histograms, nothing more.  The store is forwarded to
 pool workers, so parallel sweeps fill and reuse the same cache.  The
 pipeline's stages and the replay engine are imported only when a point has
-to be simulated (:func:`import_engine`).
+to be simulated.
 """
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -47,29 +46,6 @@ from repro.workloads.spec import InputSet, WorkloadSpec
 
 if TYPE_CHECKING:  # the api package imports this module at load time
     from repro.api.scenario import RunRequest
-
-#: What simulating a point runs beyond this module's own imports: the
-#: co-design pipeline's stages and the solo, lockstep and co-run replay.
-ENGINE_MODULES = (
-    "repro.workloads.builder",
-    "repro.workloads.profiling",
-    "repro.compiler.pgo",
-    "repro.osmodel.loader",
-    "repro.osmodel.mmu",
-    "repro.workloads.tracegen",
-    "repro.sim.multicore",
-    "repro.core.trrip",
-)
-
-
-def import_engine() -> None:
-    """Import :data:`ENGINE_MODULES`.
-
-    Called before a worker pool forks, so the workers inherit the engine
-    instead of each compiling it again.
-    """
-    for name in ENGINE_MODULES:
-        importlib.import_module(name)
 
 
 @dataclass

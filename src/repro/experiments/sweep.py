@@ -56,7 +56,7 @@ from repro.common.faults import fire_point
 from repro.common.hashing import stable_hash
 from repro.common.journal import AppendOnlyJournal
 from repro.core.pipeline import PipelineOptions
-from repro.experiments.runner import BenchmarkRunner, import_engine
+from repro.experiments.runner import BenchmarkRunner
 from repro.experiments.supervisor import (
     SupervisedPool,
     SupervisionPolicy,
@@ -543,7 +543,6 @@ def _execute_pending(
             for unit in tasks[position]
         )
 
-    import_engine()
     pool = SupervisedPool(
         _run_sweep_unit,
         workers=worker_count(jobs, len(tasks)),

@@ -174,6 +174,25 @@ class TestCachedRuns:
         assert (store.hits, store.misses) == (2, 2)
         assert store._held == {}
 
+    def test_failed_plan_keeps_no_held_entries(self, make_store, config, monkeypatch):
+        """A unit that raises in-process leaves no probed entry behind for
+        a later plan on the same store to load instead of the backend."""
+        scenario = Scenario(
+            benchmarks=("tiny", "zipf:alpha=1.2,instructions=6000,warmup=2000"),
+            policies="srrip",
+        )
+        Session(config=config, store=make_store()).run(scenario)
+        store = make_store()
+        session = Session(config=config, store=store)
+
+        def boom(unit):
+            raise RuntimeError("unit failed")
+
+        monkeypatch.setattr(session, "_run_unit", boom)
+        with pytest.raises(RuntimeError, match="unit failed"):
+            session.run(scenario, jobs=2)
+        assert store._held == {}
+
     def test_reuse_histograms_round_trip(self, make_store, spec, config):
         first = Session(config=config, store=make_store())
         tracked = first.run_one(spec, track_reuse=True)
