@@ -49,7 +49,7 @@ from repro.workloads.spec import PROXY_BENCHMARK_NAMES
 if TYPE_CHECKING:  # engine types; imported lazily at runtime (see below)
     from repro.experiments.runner import BenchmarkRunner, RunArtifacts
     from repro.experiments.store import ResultStore
-    from repro.experiments.sweep import PolicySweepResult
+    from repro.experiments.policy_sweep import PolicySweepResult
 
 # The engine lives in repro.experiments, whose experiment modules import
 # this API package at module level; importing the engine lazily keeps the
@@ -209,11 +209,6 @@ class Session:
         point is a ``RunArtifacts``, bit-identical for every ``jobs`` value.
         """
         from repro.experiments.runner import RunArtifacts
-        from repro.experiments.supervisor import (
-            SupervisedPool,
-            SupervisionPolicy,
-            worker_count,
-        )
 
         jobs = self.jobs if jobs is None else jobs
         units = self._units(requests)
@@ -221,9 +216,18 @@ class Session:
             tasks = []
             if jobs not in (None, 1) and len(units) > 1:
                 tasks = self._tasks(requests, units)
-            workers = worker_count(jobs, len(tasks))
-            if workers < 2:
-                tasks = []
+            if tasks:
+                # A fully stored plan has no tasks, so it never loads the
+                # pool machinery.
+                from repro.experiments.supervisor import (
+                    SupervisedPool,
+                    SupervisionPolicy,
+                    worker_count,
+                )
+
+                workers = worker_count(jobs, len(tasks))
+                if workers < 2:
+                    tasks = []
             pooled = {position for task in tasks for position in task}
             runs: list = [None] * len(requests)
             for position, unit in enumerate(units):
@@ -373,7 +377,7 @@ class Session:
         benchmark — the order (and therefore the exact result contents) of
         the historical serial sweep loop, for every ``jobs`` value.
         """
-        from repro.experiments.sweep import PolicySweepResult
+        from repro.experiments.policy_sweep import PolicySweepResult
 
         run_config = config or self.config
         wanted_policies = tuple(

@@ -187,7 +187,7 @@ class CacheHierarchy:
         #: *demand* access that reaches the L2 (i.e. every L1 miss).  Used by
         #: the reuse-distance analysis (Figure 3) without perturbing timing.
         #: Observers must read the request during the callback and not retain
-        #: it (fast-path requests are reused scratch objects).
+        #: it (lane-path requests are reused scratch objects).
         self.l2_access_observer = None
         self._prefetch_scratch = ScratchRequest()
         self._prefetch_scratch.is_prefetch = True
@@ -208,19 +208,22 @@ class CacheHierarchy:
         self._lat_dram = config.dram_latency
         self._l2_inclusive = config.l2_inclusive
         self._slc_exclusive = config.slc_exclusive
-        # Null prefetchers are skipped entirely on the demand paths.
-        self._l1i_observe = self._active_observe(self.l1i_prefetcher)
-        self._l1d_observe = self._active_observe(self.l1d_prefetcher)
-        self._l2_observe = self._active_observe(self.l2_prefetcher)
+        #: The prefetchers' pre-bound ``observe(address, pc)``, ``None`` for
+        #: a null engine (skipped entirely).  The record path trains them in
+        #: :meth:`_run_prefetchers`; the replay lane trains its lead core's
+        #: and hands the targets to every core (:func:`repro.cpu.core.run_lanes`).
+        self.l1i_observe = self._active_observe(self.l1i_prefetcher)
+        self.l1d_observe = self._active_observe(self.l1d_prefetcher)
+        self.l2_observe = self._active_observe(self.l2_prefetcher)
         #: The hot paths as closures over the (identity-stable) caches built
-        #: above; see _make_walk/_make_instruction_fast/_make_data_fast.  The
+        #: above; see _make_walk/_make_instruction_line/_make_data_line.  The
         #: seed baseline replaces the caches after construction but never
         #: uses these paths — it overrides the whole access path.
         shared.register(core_id, self)
         self._walk_below_l1 = self._make_walk()
         self._issue_targets = self._make_issue_targets()
-        self.access_instruction_fast = self._make_instruction_fast()
-        self.access_data_fast = self._make_data_fast()
+        self.access_instruction_line = self._make_instruction_line()
+        self.access_data_line = self._make_data_line()
 
     @staticmethod
     def _active_observe(prefetcher: Prefetcher):
@@ -268,17 +271,20 @@ class CacheHierarchy:
             cache.stats.reset()
         self.stats.reset()
 
-    # ------------------------------------------------------------ fast paths
-    def _make_instruction_fast(self):
-        """Build the demand instruction-fetch fast path as a closure.
+    # ------------------------------------------------------------ lane paths
+    def _make_instruction_line(self):
+        """Build the lane's demand instruction-fetch path as a closure.
 
-        Returns ``(latency, l2_miss)``.  L1-I hits — the overwhelmingly
-        common case on repeat fetches of a resident line — skip the full
-        hierarchy walk and the :class:`AccessResult` allocation while
-        performing exactly the same state updates (cache stats, replacement
-        hooks, prefetcher observations) as :meth:`access_instruction`.
-        ``line_no`` is the request's precomputed line number when the caller
-        already knows it.
+        ``access_instruction_line(request, line_no, targets)`` returns
+        ``(latency, l2_miss)``.  The replay lane has already translated the
+        fetch (``line_no`` is the physical line number) and trained the
+        prefetchers on it: ``targets`` are the L1-I prefetcher's targets
+        followed by the L2 prefetcher's, falsy when neither issues.  L1-I
+        hits — the overwhelmingly common case on repeat fetches of a resident
+        line — skip the full hierarchy walk and the :class:`AccessResult`
+        allocation.  Every cache state and statistics update is that of
+        :meth:`access_instruction` on the same request, in the same order;
+        only the prefetchers' training moved out to the lane.
         """
         stats = self.stats
         l1 = self.l1i
@@ -291,18 +297,13 @@ class CacheHierarchy:
         policy_touch = l1._policy_touch
         on_hit = l1.policy.on_hit
         lat_l1i = self._lat_l1i
-        line_shift = self._line_shift
         walk = self._walk_below_l1
-        l1i_observe = self._l1i_observe
-        l2_observe = self._l2_observe
         issue_targets = self._issue_targets
 
-        def access_instruction_fast(
-            request: MemoryRequest, line_no: int = -1
+        def access_instruction_line(
+            request: MemoryRequest, line_no: int, targets
         ) -> tuple[int, bool]:
             stats.instruction_fetches += 1
-            if line_no < 0:
-                line_no = request.address >> line_shift
             # Inlined L1-I demand hit (mirrors access_line for an ifetch).
             way = l1_map.get(line_no)
             if way is not None:
@@ -320,14 +321,8 @@ class CacheHierarchy:
                     else:
                         on_hit(set_index, way, request)
                 stats.total_latency += lat_l1i
-                if l1i_observe is not None:
-                    targets = l1i_observe(request, True)
-                    if targets:
-                        issue_targets(request, l1, targets)
-                if l2_observe is not None:
-                    targets = l2_observe(request, False)
-                    if targets:
-                        issue_targets(request, l1, targets)
+                if targets:
+                    issue_targets(request, l1, targets)
                 return lat_l1i, False
             l1_stats.inst_misses += 1
             latency, level = walk(request, l1, None, line_no)
@@ -340,22 +335,19 @@ class CacheHierarchy:
             if level == 4:
                 stats.slc_misses += 1
                 stats.dram_accesses += 1
-            if l1i_observe is not None:
-                targets = l1i_observe(request, False)
-                if targets:
-                    issue_targets(request, l1, targets)
-            if l2_observe is not None:
-                targets = l2_observe(request, level == 2)
-                if targets:
-                    issue_targets(request, l1, targets)
+            if targets:
+                issue_targets(request, l1, targets)
             return latency, l2_miss
 
-        return access_instruction_fast
+        return access_instruction_line
 
-    def _make_data_fast(self):
-        """Build the demand data-access fast path as a closure.
+    def _make_data_line(self):
+        """Build the lane's demand data-access path as a closure.
 
-        Returns the access latency; state updates match :meth:`access_data`.
+        ``access_data_line(request, line_no, targets)`` returns the access
+        latency; arguments and state updates are as for
+        :meth:`_make_instruction_line`, on the L1-D and against
+        :meth:`access_data`.
         """
         stats = self.stats
         l1 = self.l1d
@@ -370,16 +362,11 @@ class CacheHierarchy:
         policy_touch = l1._policy_touch
         on_hit = l1.policy.on_hit
         lat_l1d = self._lat_l1d
-        line_shift = self._line_shift
         walk = self._walk_below_l1
-        l1d_observe = self._l1d_observe
-        l2_observe = self._l2_observe
         issue_targets = self._issue_targets
 
-        def access_data_fast(request: MemoryRequest, line_no: int = -1) -> int:
+        def access_data_line(request: MemoryRequest, line_no: int, targets) -> int:
             stats.data_accesses += 1
-            if line_no < 0:
-                line_no = request.address >> line_shift
             # Inlined L1-D demand hit (mirrors access_line for a data access).
             way = l1_map.get(line_no)
             if way is not None:
@@ -399,14 +386,8 @@ class CacheHierarchy:
                     else:
                         on_hit(set_index, way, request)
                 stats.total_latency += lat_l1d
-                if l1d_observe is not None:
-                    targets = l1d_observe(request, True)
-                    if targets:
-                        issue_targets(request, l1, targets)
-                if l2_observe is not None:
-                    targets = l2_observe(request, False)
-                    if targets:
-                        issue_targets(request, l1, targets)
+                if targets:
+                    issue_targets(request, l1, targets)
                 return lat_l1d
             l1_stats.data_misses += 1
             latency, level = walk(request, l1, None, line_no)
@@ -418,17 +399,11 @@ class CacheHierarchy:
                 if level == 4:
                     stats.slc_misses += 1
                     stats.dram_accesses += 1
-            if l1d_observe is not None:
-                targets = l1d_observe(request, False)
-                if targets:
-                    issue_targets(request, l1, targets)
-            if l2_observe is not None:
-                targets = l2_observe(request, level == 2)
-                if targets:
-                    issue_targets(request, l1, targets)
+            if targets:
+                issue_targets(request, l1, targets)
             return latency
 
-        return access_data_fast
+        return access_data_line
 
     # -------------------------------------------------------------- internals
     def _access(
@@ -469,9 +444,7 @@ class CacheHierarchy:
             self._account(request, latency, level, False, demand)
 
         if allow_prefetch and demand:
-            self._run_prefetchers(
-                request, l1, l1_prefetcher, result.l1_hit, result.l2_hit
-            )
+            self._run_prefetchers(request, l1, l1_prefetcher)
         return result
 
     def _account(
@@ -518,9 +491,10 @@ class CacheHierarchy:
         The walk continues after an L1 miss has already been recorded and
         returns ``(latency, level)`` with ``level`` the integer
         :class:`~repro.common.request.HitLevel` that serviced the access.
-        ``evicted`` collects the addresses of lines evicted by the fills when
-        a list is supplied (the compat path exposes them through
-        ``AccessResult.evicted_lines``; the fast paths pass ``None``).
+        ``line_no`` is the request's physical line number.  ``evicted``
+        collects the addresses of lines evicted by the fills when a list is
+        supplied (the record path exposes them through
+        ``AccessResult.evicted_lines``; the lane paths pass ``None``).
 
         The L2 and SLC lookups are inlined copies of
         :meth:`SetAssociativeCache.access_line`, and the L2 victim handling
@@ -581,10 +555,8 @@ class CacheHierarchy:
             request: MemoryRequest,
             l1: SetAssociativeCache,
             evicted: Optional[list[int]],
-            line_no: int = -1,
+            line_no: int,
         ) -> tuple[int, int]:
-            if line_no < 0:
-                line_no = request.address >> line_shift
             access_type = request.access_type
             is_ifetch = access_type is _IFETCH
             is_prefetch = request.is_prefetch
@@ -780,22 +752,20 @@ class CacheHierarchy:
         request: MemoryRequest,
         l1: SetAssociativeCache,
         l1_prefetcher: Prefetcher,
-        l1_hit: bool,
-        l2_hit: bool,
     ) -> None:
         if l1_prefetcher is self.l1i_prefetcher:
-            observe = self._l1i_observe
+            observe = self.l1i_observe
         elif l1_prefetcher is self.l1d_prefetcher:
-            observe = self._l1d_observe
+            observe = self.l1d_observe
         else:
             observe = self._active_observe(l1_prefetcher)
         if observe is not None:
-            targets = observe(request, l1_hit)
+            targets = observe(request.address, request.pc)
             if targets:
                 self._issue_targets(request, l1, targets)
-        observe = self._l2_observe
+        observe = self.l2_observe
         if observe is not None:
-            targets = observe(request, l2_hit)
+            targets = observe(request.address, request.pc)
             if targets:
                 self._issue_targets(request, l1, targets)
 

@@ -3,7 +3,13 @@
 Table 1 of the paper attaches stride-based prefetchers (including next-line)
 to every cache.  The frontend additionally runs a pseudo-FDIP prefetcher
 (modelled in :mod:`repro.cpu.frontend`); the classes here are the per-cache
-engines the hierarchy invokes on demand accesses.
+engines trained on demand accesses.
+
+A prefetcher observes only the demand stream: the physical address and the
+PC of each access, never whether it hit or any other per-core cache state.
+Its targets are therefore a pure function of the stream, which is what lets
+a lockstep lane (:func:`repro.cpu.core.run_lanes`) train one table and hand
+its targets to every core replaying the same trace.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.common.addressing import CACHE_LINE_SIZE, line_address
-from repro.common.request import MemoryRequest
 
 
 #: Shared empty result for observations that issue nothing — the common case,
@@ -27,8 +32,9 @@ class Prefetcher(abc.ABC):
     name: str = "none"
 
     @abc.abstractmethod
-    def observe(self, request: MemoryRequest, hit: bool) -> "Sequence[int]":
-        """Observe a demand access and return line addresses to prefetch."""
+    def observe(self, address: int, pc: int) -> "Sequence[int]":
+        """Observe a demand access to physical ``address`` by ``pc`` and
+        return line addresses to prefetch."""
 
     def reset(self) -> None:
         """Restore the prefetcher to its power-on state."""
@@ -39,7 +45,7 @@ class NullPrefetcher(Prefetcher):
 
     name = "none"
 
-    def observe(self, request: MemoryRequest, hit: bool) -> "Sequence[int]":
+    def observe(self, address: int, pc: int) -> "Sequence[int]":
         return _NO_PREFETCHES
 
 
@@ -58,8 +64,8 @@ class NextLinePrefetcher(Prefetcher):
         self.degree = degree
         self.line_size = line_size
 
-    def observe(self, request: MemoryRequest, hit: bool) -> list[int]:
-        base = line_address(request.address, self.line_size)
+    def observe(self, address: int, pc: int) -> list[int]:
+        base = line_address(address, self.line_size)
         return [base + i * self.line_size for i in range(1, self.degree + 1)]
 
 
@@ -100,7 +106,7 @@ class StridePrefetcher(Prefetcher):
         #: ``key -> [last_address, stride, confidence]``.
         self._table: dict[int, list[int]] = {}
         # The production observe runs as a closure over the (stable) table
-        # and parameters — it is called twice per demand access in the replay
+        # and parameters — it is called on every demand event of the replay
         # hot loop.  Subclasses that override observe (the seed baseline)
         # keep their method: an instance attribute would shadow it, so the
         # closure is only bound when the class-level observe is the base one.
@@ -116,9 +122,7 @@ class StridePrefetcher(Prefetcher):
         degree_range = range(1, self.degree + 1)
         line_size = self.line_size
 
-        def observe(request: MemoryRequest, hit: bool) -> "Sequence[int]":
-            address = request.address
-            pc = request.pc
+        def observe(address: int, pc: int) -> "Sequence[int]":
             key = pc % entries if pc else (address // 4096) % entries
             entry = table.get(key)
             if entry is None:
@@ -153,10 +157,10 @@ class StridePrefetcher(Prefetcher):
 
         return observe
 
-    def observe(self, request: MemoryRequest, hit: bool) -> "Sequence[int]":
+    def observe(self, address: int, pc: int) -> "Sequence[int]":
         """Method form of the observe closure (overridden by subclasses;
         production instances shadow this with the pre-built closure)."""
-        return self._observe_impl(request, hit)
+        return self._observe_impl(address, pc)
 
     def reset(self) -> None:
         self._table.clear()

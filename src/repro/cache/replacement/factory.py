@@ -12,8 +12,12 @@ token and the valid choices — for anything it does not recognise.
 
 from __future__ import annotations
 
-from repro.cache.replacement.base import ReplacementPolicy
+from typing import TYPE_CHECKING
+
 from repro.cache.replacement.spec import PolicySpec, policy_names
+
+if TYPE_CHECKING:
+    from repro.cache.replacement.base import ReplacementPolicy
 
 
 def available_policies() -> tuple[str, ...]:

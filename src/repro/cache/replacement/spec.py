@@ -25,20 +25,15 @@ parameterless spec's canonical form is exactly the bare policy name.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.cache.replacement.base import ReplacementPolicy
-from repro.cache.replacement.basic import FIFOPolicy, LRUPolicy, RandomPolicy
-from repro.cache.replacement.belady import OptimalPolicy
-from repro.cache.replacement.clip import CLIPPolicy
-from repro.cache.replacement.drrip import DRRIPPolicy
-from repro.cache.replacement.emissary import EmissaryPolicy
-from repro.cache.replacement.partition import PartitionPolicy
-from repro.cache.replacement.rrip import BRRIPPolicy, SRRIPPolicy
-from repro.cache.replacement.ship import SHiPPolicy
 from repro.common.errors import ConfigurationError
 from repro.common.params import TypedParam, parse_spec_token, render_param_value
+
+if TYPE_CHECKING:
+    from repro.cache.replacement.base import ReplacementPolicy
 
 #: One typed parameter a policy builder accepts.  The shared
 #: :class:`~repro.common.params.TypedParam` machinery (also used by workload
@@ -71,14 +66,19 @@ class PolicyInfo:
         return self.builder(num_sets, num_ways, **kwargs)
 
 
-def _trrip_builder(variant: int) -> Callable[..., ReplacementPolicy]:
-    """TRRIP lives in :mod:`repro.core` (which depends on this package), so
-    its builders import lazily to keep the layering acyclic."""
+def _builder(
+    module: str, name: str, **fixed: Any
+) -> Callable[..., ReplacementPolicy]:
+    """A builder that imports policy class ``name`` from ``module`` when it
+    first builds one.  Naming, validating and describing policies needs
+    only the registry, so a process that builds no cache (``repro
+    policies``, a re-render from the store) loads no policy module.  It
+    also keeps the layering acyclic for TRRIP, which lives in
+    :mod:`repro.core`, a package that depends on this one."""
 
     def build(num_sets: int, num_ways: int, **kwargs) -> ReplacementPolicy:
-        from repro.core.trrip import TRRIPPolicy
-
-        return TRRIPPolicy(num_sets, num_ways, variant=variant, **kwargs)
+        policy_class = getattr(importlib.import_module(module), name)
+        return policy_class(num_sets, num_ways, **fixed, **kwargs)
 
     return build
 
@@ -100,41 +100,41 @@ POLICY_REGISTRY: dict[str, PolicyInfo] = {
         PolicyInfo(
             "lru",
             "least-recently-used baseline",
-            LRUPolicy,
+            _builder("repro.cache.replacement.basic", "LRUPolicy"),
         ),
         PolicyInfo(
             "fifo",
             "first-in-first-out baseline",
-            FIFOPolicy,
+            _builder("repro.cache.replacement.basic", "FIFOPolicy"),
         ),
         PolicyInfo(
             "random",
             "uniform random victim selection (deterministic seed)",
-            RandomPolicy,
+            _builder("repro.cache.replacement.basic", "RandomPolicy"),
             params=(PolicyParam("seed", int, 0, "RNG seed"),),
         ),
         PolicyInfo(
             "srrip",
             "static RRIP, the paper's baseline (hit-priority variant)",
-            SRRIPPolicy,
+            _builder("repro.cache.replacement.rrip", "SRRIPPolicy"),
             params=(_RRPV_BITS,),
         ),
         PolicyInfo(
             "brrip",
             "bimodal RRIP: thrash-resistant distant insertion",
-            BRRIPPolicy,
+            _builder("repro.cache.replacement.rrip", "BRRIPPolicy"),
             params=(_RRPV_BITS, _BIMODAL),
         ),
         PolicyInfo(
             "drrip",
             "dynamic RRIP: set dueling between SRRIP and BRRIP",
-            DRRIPPolicy,
+            _builder("repro.cache.replacement.drrip", "DRRIPPolicy"),
             params=(_RRPV_BITS, _LEADER_SETS, _PSEL_BITS, _BIMODAL),
         ),
         PolicyInfo(
             "ship",
             "signature-based hit prediction over SRRIP",
-            SHiPPolicy,
+            _builder("repro.cache.replacement.ship", "SHiPPolicy"),
             params=(
                 _RRPV_BITS,
                 PolicyParam("shct_entries", int, 16384, "SHCT table entries"),
@@ -147,13 +147,13 @@ POLICY_REGISTRY: dict[str, PolicyInfo] = {
         PolicyInfo(
             "clip",
             "code-line instruction prioritisation via set dueling",
-            CLIPPolicy,
+            _builder("repro.cache.replacement.clip", "CLIPPolicy"),
             params=(_RRPV_BITS, _LEADER_SETS, _PSEL_BITS),
         ),
         PolicyInfo(
             "emissary",
             "priority-way partitioning for costly instruction lines",
-            EmissaryPolicy,
+            _builder("repro.cache.replacement.emissary", "EmissaryPolicy"),
             params=(
                 PolicyParam("priority_ways", int, 4, "ways reserved for priority"),
                 PolicyParam(
@@ -174,7 +174,7 @@ POLICY_REGISTRY: dict[str, PolicyInfo] = {
         PolicyInfo(
             "partition",
             "static per-core way partitioning (QoS) over a base policy",
-            PartitionPolicy,
+            _builder("repro.cache.replacement.partition", "PartitionPolicy"),
             params=(
                 PolicyParam(
                     "ways",
@@ -194,21 +194,21 @@ POLICY_REGISTRY: dict[str, PolicyInfo] = {
         PolicyInfo(
             "trrip-1",
             "temperature RRIP, variant 1: hot lines pinned at immediate",
-            _trrip_builder(1),
+            _builder("repro.core.trrip", "TRRIPPolicy", variant=1),
             params=(_RRPV_BITS,),
             aliases=("trrip", "trrip1"),
         ),
         PolicyInfo(
             "trrip-2",
             "temperature RRIP, variant 2: warm insertion + conservative hits",
-            _trrip_builder(2),
+            _builder("repro.core.trrip", "TRRIPPolicy", variant=2),
             params=(_RRPV_BITS,),
             aliases=("trrip2",),
         ),
         PolicyInfo(
             "opt",
             "Belady's MIN oracle (must be primed with the future trace)",
-            OptimalPolicy,
+            _builder("repro.cache.replacement.belady", "OptimalPolicy"),
         ),
     )
 }

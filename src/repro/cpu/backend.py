@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cache.hierarchy import CacheHierarchy
-from repro.common.addressing import CACHE_LINE_SIZE, line_address
+from repro.common.addressing import CACHE_LINE_SIZE
 from repro.common.request import (
     AccessResult,
     AccessType,
@@ -64,25 +64,17 @@ class BackendModel:
         #: Issuing core index, stamped into every request (multi-core mode).
         self.core = core
         self.stats = BackendStats()
-        #: Reusable request object for the packed-trace data fast path.
+        #: Reusable request object for the replay lane's data path.
         self._scratch = ScratchRequest()
         self._scratch.core = core
-        #: Identity translation (no OS model): physical == virtual, so the
-        #: fast path skips the per-access translator call entirely.
-        self._identity = type(self.translator) is IdentityTranslator
-        #: Address-only data translation, when the translator offers it
-        #: (avoids one tuple allocation per data access on the fast path).
-        self._translate_data_addr = getattr(
-            self.translator, "translate_data_addr", None
-        )
-        # Config scalars hoisted for the fast path (the config object is
+        # Config scalars hoisted for the lane path (the config object is
         # treated as frozen once the model is built, like the hierarchy's
         # precomputed latencies).
         self._hide_latency = self.config.hide_latency
         self._stall_scale = 1.0 - self.config.overlap_fraction
-        #: The data fast path as a closure over stable model state (stats is
-        #: reset in place, so every captured object keeps its identity).
-        self.access_data_fast = self._make_data_fast()
+        #: The lane's data path as a closure over stable model state (stats
+        #: is reset in place, so every captured object keeps its identity).
+        self.access_translated = self._make_access_translated()
 
     def access_data(self, vaddr: int, pc: int, is_store: bool) -> DataAccessOutcome:
         """Issue a data load/store and return the exposed stall cycles."""
@@ -104,48 +96,33 @@ class BackendModel:
         self.stats.mem_stall_cycles += stall
         return DataAccessOutcome(stall_cycles=stall, result=result)
 
-    def _make_data_fast(self):
-        """Build the data fast path (twin of :meth:`access_data`) as a closure.
+    def _make_access_translated(self):
+        """Build the replay lane's data path (twin of :meth:`access_data`).
 
-        Used by the packed-trace replay loop: repeat L1-D hits skip the full
-        hierarchy walk, and the request travels as a reused
-        :class:`ScratchRequest` so no outcome or request object is allocated.
-        All state updates are identical to the slow path; custom
-        ``l2_access_observer`` hooks must not retain the request.
-
-        The returned callable has signature
-        ``access_data_fast(vaddr, pc, is_store, line_no=-1)`` where
-        ``line_no`` is the *virtual* line number precomputed by the trace's
-        geometry columns; it equals the physical line number exactly when no
-        OS model remaps pages, so it is forwarded to the hierarchy only under
-        identity translation.
+        ``access_translated(paddr, pc, is_store, line_no, targets) -> stall``:
+        the lane has already translated the access (``line_no`` is the
+        physical line number of ``paddr``) and trained the prefetchers on it
+        (``targets``, see :meth:`CacheHierarchy._make_data_line`).  Repeat
+        L1-D hits skip the full hierarchy walk, and the request travels as a
+        reused :class:`ScratchRequest`, so no outcome or request object is
+        allocated.  All state updates are identical to the record path;
+        custom ``l2_access_observer`` hooks must not retain the request.
         """
         scratch = self._scratch
-        hierarchy_fast = self.hierarchy.access_data_fast
+        access_line = self.hierarchy.access_data_line
         stats = self.stats
-        identity = self._identity
-        translate = self._translate_data_addr
-        translate_full = self.translator.translate_data
         hide_latency = self._hide_latency
         stall_scale = self._stall_scale
         store_type = AccessType.DATA_STORE
         load_type = AccessType.DATA_LOAD
 
-        def access_data_fast(
-            vaddr: int, pc: int, is_store: bool, line_no: int = -1
+        def access_translated(
+            paddr: int, pc: int, is_store: bool, line_no: int, targets
         ) -> float:
-            if identity:
-                paddr = vaddr
-            else:
-                if translate is not None:
-                    paddr = translate(vaddr)
-                else:
-                    paddr, _temperature = translate_full(vaddr)
-                line_no = -1
             scratch.address = paddr
             scratch.access_type = store_type if is_store else load_type
             scratch.pc = pc
-            latency = hierarchy_fast(scratch, line_no)
+            latency = access_line(scratch, line_no, targets)
             stats.data_accesses += 1
 
             exposed = latency - hide_latency
@@ -158,7 +135,7 @@ class BackendModel:
             stats.mem_stall_cycles += stall
             return stall
 
-        return access_data_fast
+        return access_translated
 
     def charge_depend_stall(self, cycles: float) -> float:
         """Account synthetic dependency-chain stalls from the trace."""
@@ -175,7 +152,7 @@ class BackendModel:
         return cycles
 
     def reset(self) -> None:
-        # In place: the fast-path closure captures the stats object.
+        # In place: the lane-path closure captures the stats object.
         stats = self.stats
         stats.data_accesses = 0
         stats.mem_stall_cycles = 0.0

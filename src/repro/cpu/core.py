@@ -15,12 +15,13 @@ model in the spirit of Sniper's interval simulation (the paper's simulator):
   exhibit, and only matter for the Figure 1/2 Top-Down shapes).
 
 Packed traces replay through one loop, :func:`run_lanes`.  A *lane* is one
-packed trace, its fetch-line automaton and one branch unit, driving one or
-more cores: solo replay is one lane of one core, lockstep (a policy sweep) is
-one lane of N cores, and a multi-core co-run is N one-core lanes taking
-round-robin turns.  The record loop in :meth:`CoreModel.run` stays as the
-reference the packed loop is pinned against
-(``tests/test_vector_equivalence.py``).
+packed trace with everything computed from it alone — its fetch-line
+automaton, one branch unit, one translation and one set of prefetchers —
+driving one or more cores: solo replay is one lane of one core, lockstep (a
+policy sweep) is one lane of N cores, and a multi-core co-run is N one-core
+lanes taking round-robin turns.  The record loop in :meth:`CoreModel.run`
+stays as the reference the packed loop is pinned against
+(``tests/test_vector_equivalence.py``, ``tests/test_lockstep.py``).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from repro.common.trace import (
     PackedTrace,
     TraceRecord,
 )
-from repro.common.translation import AddressTranslator
+from repro.common.translation import AddressTranslator, IdentityTranslator
 from repro.cpu.backend import BackendModel
 from repro.cpu.branch import BranchPredictionUnit
 from repro.cpu.config import CoreConfig
@@ -266,38 +267,65 @@ def _lane_loop(cores: Sequence[CoreModel], trace: PackedTrace):
     ``bound``; an event past the bound waits in the loop for the next turn.
     The generator returns the lane's results once the trace is exhausted.
 
-    The trace is decoded once, the fetch-boundary decisions are made once
-    (the current-fetch-line automaton depends only on the trace) and the
-    branch outcomes are computed once, on the *first* core's branch unit.
-    Predictor state never observes the memory system, so the shared unit
-    produces exactly the outcome sequence each core's own unit would; the
-    other cores' units are left untouched and their results report the
-    shared unit's deltas.  Only instruction fetches and data accesses run
-    per core, through one fetch and one data callable: the core's own fast
-    path for a one-core lane, a fan-out over the cores otherwise.  Each
+    Everything that depends only on the lane's event stream is computed
+    once, on the *first* (lead) core, whatever the number of cores:
+
+    * the trace decode and the fetch-boundary decisions (the current-fetch-
+      line automaton depends only on the trace);
+    * the branch outcomes, on the lead core's branch unit — predictor state
+      never observes the memory system;
+    * the address translation of each new fetch line and each data access,
+      through the lead core's translator — the MMU never changes a mapping
+      once it has made it, so a line's translation is cached for the lane;
+    * the prefetchers' training, on the lead core's L1-I, L1-D and L2
+      prefetchers — they observe only the physical address and the PC of
+      each demand access, never its outcome, so one table issues exactly
+      the targets each core's own table would.
+
+    Every core then walks only its own caches with the physical address,
+    line number and prefetch targets the lane hands it
+    (:meth:`FetchEngine.fetch_translated`,
+    :meth:`BackendModel.access_translated`).  The other cores' branch
+    units, prefetcher tables and translators are left untouched, and their
+    results report the shared branch unit's deltas.  A one-core lane (a solo
+    run, each core of a co-run) does all of this on its own core.  Each
     core's ``ifetch`` and ``mem`` totals accumulate in its frontend and
     backend statistics, in the order the record loop adds them.
     """
     lead = cores[0]
     line_size = lead.line_size
     config = lead.config
+    translator = lead.frontend.translator
+    prefetchers = _prefetcher_configs(lead)
     for core in cores[1:]:
         # Full config equality (dataclass ==, covering frontend, backend and
         # every branch-predictor sizing field): the branch outcomes are
         # computed once on the lead core's unit, so any difference in
         # predictor geometry would silently change the other cores' results.
-        if core.line_size != line_size or core.config != config:
+        # Translation and prefetcher training run once too.
+        if (
+            core.line_size != line_size
+            or core.config != config
+            or type(core.frontend.translator) is not type(translator)
+            or _prefetcher_configs(core) != prefetchers
+        ):
             raise ValueError(
                 "cores sharing a lane need identical core/branch "
-                "configuration and line size"
+                "configuration, line size, kind of translator and prefetchers"
             )
     for core in cores:
         core._begin_replay()
-    if len(cores) == 1:
-        fetch = lead.frontend.fetch_line_fast
-        data = lead.backend.access_data_fast
-    else:
-        fetch, data = _fan_out(cores)
+    fetches = [core.frontend.fetch_translated for core in cores]
+    accesses = [core.backend.access_translated for core in cores]
+    translate_instruction = translator.translate_instruction
+    translate_data = _data_translation(translator)
+    hierarchy = lead.hierarchy
+    l1i_observe = hierarchy.l1i_observe
+    l1d_observe = hierarchy.l1d_observe
+    l2_observe = hierarchy.l2_observe
+    line_shift = line_size.bit_length() - 1
+    # Virtual fetch line -> (paddr, temperature, physical line number).
+    translations: dict[int, tuple] = {}
     branch_stats = lead.branch_unit.stats
     branches_before = branch_stats.branches
     mispredictions_before = branch_stats.mispredictions
@@ -324,7 +352,22 @@ def _lane_loop(cores: Sequence[CoreModel], trace: PackedTrace):
             bound = yield
         if fetch_line != current_line:
             current_line = fetch_line
-            fetch(fetch_line)
+            translation = translations.get(fetch_line)
+            if translation is None:
+                paddr, temperature = translate_instruction(fetch_line)
+                translation = (paddr, temperature, paddr >> line_shift)
+                translations[fetch_line] = translation
+            # The L1-I prefetcher's targets, then the L2 prefetcher's: the
+            # order in which the record path issues them.
+            prefetch = _NO_TARGETS
+            if l1i_observe is not None:
+                prefetch = l1i_observe(translation[0], fetch_line)
+            if l2_observe is not None:
+                l2_prefetch = l2_observe(translation[0], fetch_line)
+                if l2_prefetch:
+                    prefetch = [*prefetch, *l2_prefetch]
+            for fetch in fetches:
+                fetch(fetch_line, translation, prefetch)
 
         if flags:
             if flags & FLAG_BRANCH:
@@ -343,7 +386,22 @@ def _lane_loop(cores: Sequence[CoreModel], trace: PackedTrace):
                     # Fetch redirects to the branch target.
                     current_line = -1
             if flags & FLAG_MEM:
-                data(mems[index], pc, flags & FLAG_STORE != 0, mem_lines[index])
+                if translate_data is None:
+                    paddr = mems[index]
+                    line_no = mem_lines[index]
+                else:
+                    paddr = translate_data(mems[index])
+                    line_no = paddr >> line_shift
+                prefetch = _NO_TARGETS
+                if l1d_observe is not None:
+                    prefetch = l1d_observe(paddr, pc)
+                if l2_observe is not None:
+                    l2_prefetch = l2_observe(paddr, pc)
+                    if l2_prefetch:
+                        prefetch = [*prefetch, *l2_prefetch]
+                is_store = flags & FLAG_STORE != 0
+                for access in accesses:
+                    access(paddr, pc, is_store, line_no, prefetch)
             if flags & FLAG_DEPEND:
                 depend += depends[index]
             if flags & FLAG_ISSUE:
@@ -381,19 +439,28 @@ def _lane_loop(cores: Sequence[CoreModel], trace: PackedTrace):
     return results
 
 
-def _fan_out(cores: Sequence[CoreModel]):
-    """One fetch and one data callable that drive every core, in order."""
-    fetches = [core.frontend.fetch_line_fast for core in cores]
-    accesses = [core.backend.access_data_fast for core in cores]
-
-    def fetch(fetch_line: int) -> None:
-        for fetch_fast in fetches:
-            fetch_fast(fetch_line)
-
-    def data(address: int, pc: int, is_store: bool, mem_line: int) -> None:
-        for access_fast in accesses:
-            access_fast(address, pc, is_store, mem_line)
-
-    return fetch, data
+#: The prefetch targets of a demand access no prefetcher issues on.
+_NO_TARGETS: tuple[int, ...] = ()
 
 
+def _prefetcher_configs(core: CoreModel) -> list:
+    """The prefetcher name and parameters of a core's L1-I, L1-D and L2."""
+    config = core.hierarchy.config
+    return [
+        (level.prefetcher, level.prefetcher_kwargs)
+        for level in (config.l1i, config.l1d, config.l2)
+    ]
+
+
+def _data_translation(translator: AddressTranslator):
+    """Address-only data translation through ``translator``, or ``None``
+    under identity translation (physical == virtual, so the trace's
+    precomputed line numbers are the physical ones)."""
+    if type(translator) is IdentityTranslator:
+        return None
+    translate = getattr(translator, "translate_data_addr", None)
+    if translate is not None:
+        # Skips the (always untagged) temperature tuple per data access.
+        return translate
+    translate_data = translator.translate_data
+    return lambda vaddr: translate_data(vaddr)[0]

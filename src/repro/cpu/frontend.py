@@ -72,26 +72,25 @@ class FetchEngine:
         #: to these lines carry Emissary's starvation hint when refetched.
         self._starved_lines: dict[int, bool] = {}
         #: Per-virtual-line cache of ``(translated request, physical line
-        #: number)`` pairs used by the fast path.  ``MemoryRequest`` is
+        #: number)`` pairs used by the lane path.  ``MemoryRequest`` is
         #: immutable and the translation of a line never changes once the page
         #: is mapped, so a cached request is value-identical to a freshly
         #: built one; entries are dropped whenever the line's starvation hint
         #: changes.
         self._request_cache: dict[int, tuple[MemoryRequest, int]] = {}
         #: Fetch latency hidden from decode (buffer slack + FDIP run-ahead),
-        #: hoisted for the fast path; the config is treated as frozen once
+        #: hoisted for the lane path; the config is treated as frozen once
         #: the engine is built.
         self._hidden_latency = float(self.config.fetch_buffer_slack)
         if self.config.fdip_enabled:
             self._hidden_latency += self.config.fdip_lead_cycles
-        self._line_shift = line_size.bit_length() - 1
         #: Per-virtual-line accumulated demand ifetch stall cycles and miss
         #: counts, used by the costly-miss coverage analysis (Figure 7).
         self.line_stall_cycles: dict[int, float] = {}
         self.line_miss_counts: dict[int, int] = {}
-        #: The fetch fast path as a closure over stable engine state (stats
-        #: and the per-line maps are reset in place).
-        self.fetch_line_fast = self._make_fetch_fast()
+        #: The lane's fetch path as a closure over stable engine state
+        #: (stats and the per-line maps are reset in place).
+        self.fetch_translated = self._make_fetch_translated()
 
     # ----------------------------------------------------------------- fetch
     def fetch_line(self, vaddr: int) -> FetchOutcome:
@@ -125,38 +124,35 @@ class FetchEngine:
             stall_cycles=stall, result=result, caused_starvation=caused_starvation
         )
 
-    def _make_fetch_fast(self):
-        """Build the resident-line fetch fast path as a closure.
+    def _make_fetch_translated(self):
+        """Build the replay lane's fetch path as a closure.
 
-        Used by the packed-trace replay loop: the translated
-        :class:`MemoryRequest` is cached per line (with its physical line
-        number) and the hierarchy is entered through its L1-hit fast path, so
-        a repeat fetch of a resident line costs two dict lookups instead of
-        three object allocations and a full hierarchy walk.  All simulation
-        state transitions (cache statistics, replacement/prefetcher state,
-        starvation tracking, per-line stall maps) are identical to
-        :meth:`fetch_line`; the one observable difference is that the
-        translator is consulted once per line instead of once per fetch, so
-        MMU *translation counters* (never simulation results) read lower than
-        on the record path.  Signature: ``fetch_line_fast(vline) -> stall``
-        for an already line-aligned virtual address.
+        ``fetch_translated(vline, translation, targets) -> stall`` fetches
+        the line-aligned virtual address ``vline``.  The lane has already
+        translated it — ``translation`` is ``(paddr, temperature,
+        physical line number)`` — and trained the prefetchers on it
+        (``targets``, see :meth:`CacheHierarchy._make_instruction_line`).
+        The request is cached per line, so a repeat fetch of a resident
+        line costs two dict lookups instead of three object allocations and
+        a full hierarchy walk.  All simulation state transitions (cache
+        statistics, replacement state, starvation tracking, per-line stall
+        maps) are identical to :meth:`fetch_line`; this engine's translator
+        and the hierarchy's prefetchers are not consulted.
         """
         request_cache = self._request_cache
-        translate = self.translator.translate_instruction
-        access_fast = self.hierarchy.access_instruction_fast
+        access_line = self.hierarchy.access_instruction_line
         stats = self.stats
         starved_lines = self._starved_lines
         remember = self._remember_starvation
         line_stall_cycles = self.line_stall_cycles
         line_miss_counts = self.line_miss_counts
         hidden_latency = self._hidden_latency
-        line_shift = self._line_shift
         core = self.core
 
-        def fetch_line_fast(vline: int) -> float:
+        def fetch_translated(vline: int, translation, targets) -> float:
             cached = request_cache.get(vline)
             if cached is None:
-                paddr, temperature = translate(vline)
+                paddr, temperature, line_no = translation
                 request = MemoryRequest(
                     address=paddr,
                     access_type=AccessType.INSTRUCTION_FETCH,
@@ -165,10 +161,10 @@ class FetchEngine:
                     starvation_hint=vline in starved_lines,
                     core=core,
                 )
-                cached = (request, paddr >> line_shift)
+                cached = (request, line_no)
                 request_cache[vline] = cached
             request, line_no = cached
-            latency, l2_miss = access_fast(request, line_no)
+            latency, l2_miss = access_line(request, line_no, targets)
             stats.demand_fetches += 1
 
             stall = float(latency) - hidden_latency
@@ -182,7 +178,7 @@ class FetchEngine:
                 return stall
             return 0.0
 
-        return fetch_line_fast
+        return fetch_translated
 
     # ------------------------------------------------------------- starvation
     def _remember_starvation(self, vline: int) -> None:
@@ -202,7 +198,7 @@ class FetchEngine:
         return frozenset(self._starved_lines)
 
     def reset(self) -> None:
-        # In place: the fast-path closure captures the stats object and maps.
+        # In place: the lane-path closure captures the stats object and maps.
         stats = self.stats
         stats.demand_fetches = 0
         stats.starvation_events = 0

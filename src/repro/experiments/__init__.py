@@ -44,7 +44,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "PageSizeAblationPoint",
             "KillSwitchResult",
         ),
-        ".sweep": ("PolicySweepResult", "run_policy_sweep"),
+        ".policy_sweep": ("PolicySweepResult", "run_policy_sweep"),
         ".tables": (
             "run_table1",
             "run_table2",

@@ -292,9 +292,9 @@ class SeedCache(SetAssociativeCache):
 class SeedStridePrefetcher(StridePrefetcher):
     """Seed-revision stride prefetcher: allocates a fresh list per call."""
 
-    def observe(self, request: MemoryRequest, hit: bool):
-        key = request.pc % self.table_entries if request.pc else (
-            request.address // 4096
+    def observe(self, address: int, pc: int):
+        key = pc % self.table_entries if pc else (
+            address // 4096
         ) % self.table_entries
         entry = self._table.get(key)
         if entry is None:
@@ -302,20 +302,20 @@ class SeedStridePrefetcher(StridePrefetcher):
                 self._table.pop(next(iter(self._table)))
             from repro.cache.prefetch import _StrideEntry
 
-            self._table[key] = _StrideEntry(last_address=request.address)
+            self._table[key] = _StrideEntry(last_address=address)
             return []
 
-        stride = request.address - entry.last_address
+        stride = address - entry.last_address
         if stride != 0 and stride == entry.stride:
             entry.confidence = min(entry.confidence + 1, self.threshold + 2)
         else:
             entry.confidence = max(entry.confidence - 1, 0)
             entry.stride = stride
-        entry.last_address = request.address
+        entry.last_address = address
 
         if entry.confidence < self.threshold or entry.stride == 0:
             return []
-        base = request.address
+        base = address
         prefetches = []
         for i in range(1, self.degree + 1):
             target = base + i * entry.stride
@@ -404,8 +404,8 @@ class SeedHierarchy(CacheHierarchy):
 
         if allow_prefetch and demand:
             targets = []
-            targets.extend(l1_prefetcher.observe(request, result.l1_hit))
-            targets.extend(self.l2_prefetcher.observe(request, result.l2_hit))
+            targets.extend(l1_prefetcher.observe(request.address, request.pc))
+            targets.extend(self.l2_prefetcher.observe(request.address, request.pc))
             for address in targets:
                 self.stats.prefetches_issued += 1
                 # The seed's as_prefetch used dataclasses.replace.

@@ -1,13 +1,12 @@
-"""Shared policy-sweep machinery used by Figure 6 and Table 3.
+"""The fault-tolerant execution layer behind ``repro sweep``.
 
-Runs the (benchmark × policy) grid against the SRRIP baseline and exposes
-speedup / MPKI-reduction / geomean accessors over it.  The CLI's
-``repro sweep`` drives this directly with arbitrary benchmark and policy
-lists; ``repro run figure6`` and ``repro run table3`` are fixed views of the
-same sweep.
-
-Beyond the plain in-memory sweep, this module is also the **fault-tolerant
-execution layer** behind ``repro sweep``:
+``repro sweep`` runs a (benchmark × policy) grid against the SRRIP baseline
+with arbitrary benchmark and policy lists; ``repro run figure6`` and
+``repro run table3`` are fixed views of the same grid, run in memory by
+:func:`repro.experiments.policy_sweep.run_policy_sweep` (re-exported here
+with :class:`~repro.experiments.policy_sweep.PolicySweepResult`, so a warm
+re-render loads neither this module nor the supervisor and journal it
+uses).  This module adds:
 
 * :func:`build_manifest` expands a (benchmark × policy) grid into hashed
   :class:`SweepUnit` work units — one per simulation, keyed by the same
@@ -56,6 +55,10 @@ from repro.common.faults import fire_point
 from repro.common.hashing import stable_hash
 from repro.common.journal import AppendOnlyJournal
 from repro.core.pipeline import PipelineOptions
+from repro.experiments.policy_sweep import (  # noqa: F401 - re-exported
+    PolicySweepResult,
+    run_policy_sweep,
+)
 from repro.experiments.runner import BenchmarkRunner
 from repro.experiments.supervisor import (
     SupervisedPool,
@@ -63,86 +66,9 @@ from repro.experiments.supervisor import (
     worker_count,
 )
 from repro.sim.config import BASELINE_POLICY, SimulatorConfig
-from repro.sim.results import (
-    SimulationResult,
-    geomean_reduction,
-    geomean_speedup,
-)
+from repro.sim.results import SimulationResult
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.spec import resolve_spec as resolve_workload_spec
-
-
-@dataclass
-class PolicySweepResult:
-    """All (benchmark, policy) simulation results plus derived metrics."""
-
-    benchmarks: tuple[str, ...]
-    policies: tuple[str, ...]
-    baseline_policy: str
-    results: dict[str, dict[str, SimulationResult]] = field(default_factory=dict)
-
-    # ------------------------------------------------------------- accessors
-    def baseline(self, benchmark: str) -> SimulationResult:
-        return self.results[benchmark][self.baseline_policy]
-
-    def result(self, benchmark: str, policy: str) -> SimulationResult:
-        return self.results[benchmark][policy]
-
-    def speedup(self, benchmark: str, policy: str) -> float:
-        """Relative speedup of ``policy`` over the baseline (fraction)."""
-        return self.result(benchmark, policy).speedup_over(self.baseline(benchmark))
-
-    def mpki_reduction(self, benchmark: str, policy: str) -> tuple[float, float]:
-        """(instruction, data) L2 MPKI reduction in percent."""
-        return self.result(benchmark, policy).mpki_reduction_over(
-            self.baseline(benchmark)
-        )
-
-    # --------------------------------------------------------------- geomeans
-    def geomean_speedup(self, policy: str) -> float:
-        return geomean_speedup(
-            [self.speedup(benchmark, policy) for benchmark in self.benchmarks]
-        )
-
-    def geomean_inst_reduction(self, policy: str) -> float:
-        return geomean_reduction(
-            [self.mpki_reduction(b, policy)[0] for b in self.benchmarks]
-        )
-
-    def geomean_data_reduction(self, policy: str) -> float:
-        return geomean_reduction(
-            [self.mpki_reduction(b, policy)[1] for b in self.benchmarks]
-        )
-
-    def best_policy_by_speedup(self) -> str:
-        return max(self.policies, key=self.geomean_speedup)
-
-
-def run_policy_sweep(
-    benchmarks: Sequence[str] | None = None,
-    policies: Sequence[str] | None = None,
-    config: SimulatorConfig | None = None,
-    jobs: int | None = None,
-    session=None,
-) -> PolicySweepResult:
-    """Simulate every (benchmark, policy) pair against the SRRIP baseline.
-
-    Thin wrapper over :meth:`repro.api.session.Session.sweep`; without a
-    ``session=`` it runs in a fresh session over ``config=``.
-
-    ``jobs`` spreads the (benchmark × policy) grid over worker processes
-    (``0`` = every usable CPU, ``None``/``1`` = in-process).  Every grid
-    point is an independent deterministic simulation, so the sweep contents
-    are identical — including iteration order of the nested result dicts —
-    for any ``jobs`` value.
-    """
-    session = Session.ensure(session, config=config)
-    return session.sweep(
-        benchmarks=benchmarks,
-        policies=policies,
-        baseline=BASELINE_POLICY,
-        jobs=jobs,
-    )
 
 
 # ===================================================================== units

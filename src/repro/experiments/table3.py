@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.api.session import Session
-from repro.experiments.sweep import PolicySweepResult, run_policy_sweep
+from repro.experiments.policy_sweep import PolicySweepResult, run_policy_sweep
 from repro.sim.config import EVALUATED_POLICIES, SimulatorConfig
 
 

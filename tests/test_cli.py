@@ -371,8 +371,9 @@ class TestWithoutNumPy:
         assert "NumPy" in done.stderr
 
 
-#: Code only simulating a point, serving or calling a daemon runs: a
-#: command that does none of these must not import it.
+#: Code only simulating a point, building a cache, running a checkpointed
+#: sweep, serving or calling a daemon runs: a command that does none of
+#: these must not import it.
 UNUSED_ON_STARTUP = (
     "repro.cpu.core",
     "repro.cpu.frontend",
@@ -380,11 +381,25 @@ UNUSED_ON_STARTUP = (
     "repro.cpu.branch",
     "repro.cache.cache",
     "repro.cache.hierarchy",
+    "repro.cache.replacement.base",
+    "repro.cache.replacement.basic",
+    "repro.cache.replacement.belady",
+    "repro.cache.replacement.clip",
+    "repro.cache.replacement.drrip",
+    "repro.cache.replacement.dueling",
+    "repro.cache.replacement.emissary",
+    "repro.cache.replacement.partition",
+    "repro.cache.replacement.rrip",
+    "repro.cache.replacement.ship",
+    "repro.core.trrip",
     "repro.sim.simulator",
     "repro.sim.multicore",
     "repro.osmodel.loader",
     "repro.workloads.builder",
     "repro.workloads.tracegen",
+    "repro.experiments.sweep",
+    "repro.experiments.supervisor",
+    "repro.common.journal",
     "repro.client",
     "http.client",
     "sqlite3",

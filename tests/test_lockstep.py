@@ -10,14 +10,20 @@ Session plan execution).
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.api.scenario import Scenario
 from repro.api.session import Session
+from repro.common.temperature import Temperature
 from repro.core.pipeline import CoDesignPipeline
 from repro.cpu.core import run_lanes
+from repro.experiments.bench import build_traces
 from repro.experiments.runner import BenchmarkRunner
 from repro.experiments.store import ResultStore
+from repro.osmodel.mmu import MMU
+from repro.osmodel.page_table import PageTable
 from repro.sim.config import SimulatorConfig
 from repro.sim import simulator as simulator_module
 from repro.sim.simulator import SystemSimulator, run_lockstep
@@ -25,6 +31,7 @@ from repro.testing import make_session
 from repro.workloads.families import resolve_workload
 from repro.workloads.spec import InputSet, get_spec, tiny_spec
 from tests.test_determinism import assert_results_identical
+from tests.test_vector_equivalence import hierarchy_state
 
 POLICIES = ("srrip", "lru", "trrip-1", "ship")
 
@@ -88,6 +95,88 @@ class TestLockstepCore:
         ]
         with pytest.raises(ValueError):
             run_lanes([([s.core for s in simulators], traces[1])])
+
+
+class TestLaneSharedWork:
+    """A lane translates each access and trains the prefetchers once, on its
+    lead core, and hands every core the physical line and the targets.
+
+    Pinned on a trace whose strides the prefetchers learn (the bench's
+    ``streaming`` shape), through an MMU that demand-maps its pages and
+    tags its code pages, so a translation or a target list handed to the
+    wrong core or to the wrong access changes some core's caches."""
+
+    POLICIES = ("srrip", "trrip-1", "ship", "lru")
+    INSTRUCTIONS = 12_000
+
+    @staticmethod
+    def page_table() -> PageTable:
+        """Code pages tagged hot, warm or cold in turn; data pages are
+        demand-mapped, interleaving their frames with the code's."""
+        table = PageTable(page_size=4096)
+        temperatures = (Temperature.HOT, Temperature.WARM, Temperature.COLD)
+        for page in range(16):
+            table.map_page(
+                0x10 + 4 * page,
+                executable=True,
+                writable=False,
+                temperature=temperatures[page % 3],
+            )
+        return table
+
+    @pytest.mark.parametrize("l1i_prefetcher", ["none", "nextline"])
+    def test_lane_matches_record_loop_solo_runs(self, l1i_prefetcher):
+        """Each core's result, caches and counters equal a record-loop solo
+        replay of its policy.  The scaled configuration trains stride
+        prefetchers on the L1-D and the L2; a next-line L1-I prefetcher
+        makes a fetch hand out both of its target lists."""
+        config = SimulatorConfig.scaled()
+        config.hierarchy = dataclasses.replace(
+            config.hierarchy,
+            l1i=dataclasses.replace(config.hierarchy.l1i, prefetcher=l1i_prefetcher),
+        )
+        records, packed = build_traces("streaming", self.INSTRUCTIONS)
+        shared_table = self.page_table()
+        lane = [
+            SystemSimulator(
+                config.with_l2_policy(policy),
+                translator=MMU(shared_table),
+                benchmark="streaming",
+            )
+            for policy in self.POLICIES
+        ]
+        lane_results = run_lockstep(lane, packed, packed)
+        for policy, simulator, result in zip(self.POLICIES, lane, lane_results):
+            solo = SystemSimulator(
+                config.with_l2_policy(policy),
+                translator=MMU(self.page_table()),
+                benchmark="streaming",
+            )
+            solo.warm_up(records)
+            assert result == solo.run(records), policy
+            assert hierarchy_state(simulator.hierarchy) == hierarchy_state(
+                solo.hierarchy
+            ), policy
+            assert simulator.hierarchy.stats == solo.hierarchy.stats, policy
+            # The trace must train the prefetchers, or nothing is pinned.
+            assert solo.hierarchy.stats.prefetches_issued > 500, policy
+
+    def test_mismatched_prefetchers_rejected(self):
+        """The lead core's prefetchers train for the whole lane, so cores
+        with other prefetchers cannot share it."""
+        config = SimulatorConfig.scaled()
+        other = SimulatorConfig.scaled()
+        other.hierarchy = dataclasses.replace(
+            other.hierarchy,
+            l1d=dataclasses.replace(other.hierarchy.l1d, prefetcher="nextline"),
+        )
+        _, packed = build_traces("streaming", 1000)
+        simulators = [
+            SystemSimulator(config, benchmark="a"),
+            SystemSimulator(other, benchmark="b"),
+        ]
+        with pytest.raises(ValueError):
+            run_lanes([([s.core for s in simulators], packed)])
 
 
 class TestLockstepRunner:
