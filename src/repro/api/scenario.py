@@ -105,15 +105,29 @@ class RunRequest:
         return self.spec.name
 
     def store_key(self) -> str:
-        """The result-store key this point is cached under."""
-        from repro.experiments.store import multicore_run_key, run_key
+        """The result-store key this point is cached under.
 
-        config = self.config.with_l2_policy(self.policy)
-        if self.cores:
-            return multicore_run_key(
-                self.cores, self.policy, config, self.options, self.interleave
-            )
-        return run_key(self.spec, self.policy, config, self.options)
+        Hashed on first use and kept on the request (a pickled request
+        carries it to its pool worker), so the executor's store probe, the
+        runner's load and save, a sweep manifest and a served job's key list
+        share one hash per point.  A request is a resolved value: its config
+        and options are not mutated after planning.
+        """
+        key = self.__dict__.get("_store_key")
+        if key is None:
+            from repro.experiments.store import multicore_run_key, run_key
+
+            config = self.config.with_l2_policy(self.policy)
+            if self.cores:
+                ratio = normalize_interleave(self.interleave, len(self.cores))
+                key = multicore_run_key(
+                    self.cores, self.policy, config, self.options, ratio
+                )
+            else:
+                key = run_key(self.spec, self.policy, config, self.options)
+            # Frozen dataclass: the memo bypasses the generated __setattr__.
+            object.__setattr__(self, "_store_key", key)
+        return key
 
     def key(self) -> tuple:
         """Hashable dedup/equality coordinate of this point.

@@ -336,7 +336,9 @@ def _lane_loop(cores: Sequence[CoreModel], trace: PackedTrace):
     mems = trace.mem_address
     depends = trace.depend_stall
     issues = trace.issue_stall
-    mem_lines = trace.mem_lines(line_size)
+    # Virtual line numbers of the data accesses, read only under identity
+    # translation (an MMU's physical lines come from its translation).
+    mem_lines = trace.mem_lines(line_size) if translate_data is None else None
     # Only instructions that carry flags or cross a fetch boundary can change
     # simulator state; everything else just retires.  Iterate the
     # precomputed events and account retire bandwidth separately (with the

@@ -41,9 +41,8 @@ Namespaces (``"runs"``, ``"reports"``) keep one backend instance shared by
 the run cache and the report cache.  Two backends ship:
 
 ``dir``
-    The historical one-file-per-entry layout, byte-identical to what every
-    previous release wrote: atomic ``os.replace`` renames, corrupt entries
-    moved to ``<key>.corrupt``.
+    The historical one-file-per-entry layout: atomic ``os.replace`` renames,
+    corrupt entries moved to ``<key>.corrupt``.
 ``sqlite``
     A single ``store.sqlite3`` database under the same root (stdlib
     :mod:`sqlite3`; no new dependencies), one row per entry plus a
@@ -51,9 +50,12 @@ the run cache and the report cache.  Two backends ship:
     backend instance is safe to share across threads, fork into pool
     workers, and pickle.
 
-Both are proven interchangeable by running the store test suite against
-each (``tests/test_store.py`` parametrises every store-backed test over
-both names).  Selection: the ``backend=`` argument, else the
+Both write entries as compact JSON, without whitespace
+(:mod:`repro.common.hashing`), and decode them with :mod:`json`, so the
+indented entries of earlier releases still load.  Both are proven
+interchangeable by running the store test suite against each
+(``tests/test_store.py`` parametrises every store-backed test over both
+names).  Selection: the ``backend=`` argument, else the
 ``REPRO_STORE_BACKEND`` environment variable, else ``dir``.
 """
 
@@ -68,6 +70,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from repro.common.errors import ConfigurationError
+from repro.common.hashing import compact_json, write_compact_json
 
 if TYPE_CHECKING:
     import sqlite3
@@ -179,7 +182,7 @@ class StoreBackend(ABC):
 
 
 class DirBackend(StoreBackend):
-    """One JSON file per entry — the historical on-disk layout, unchanged.
+    """One JSON file per entry — the historical on-disk layout.
 
     Safe to share between processes: entries are written to a temporary file
     and atomically renamed into place, and racing writers for one key write
@@ -218,7 +221,7 @@ class DirBackend(StoreBackend):
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=1)
+                write_compact_json(payload, handle)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -274,7 +277,7 @@ class DirBackend(StoreBackend):
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(marker, handle)
+                write_compact_json(marker, handle)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -405,7 +408,7 @@ class SQLiteBackend(StoreBackend):
             raise CorruptEntry(f"{space}/{key}: {error}") from error
 
     def save(self, space: str, key: str, payload: dict) -> None:
-        text = json.dumps(payload, indent=1)
+        text = compact_json(payload)
         with self._connect() as connection:
             connection.execute(
                 "INSERT OR REPLACE INTO entries (space, key, payload)"

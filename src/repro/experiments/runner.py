@@ -137,19 +137,22 @@ class BenchmarkRunner:
         options: PipelineOptions | None = None,
         track_reuse: bool = False,
         config: SimulatorConfig | None = None,
+        key: Optional[str] = None,
     ) -> RunArtifacts:
         """Simulate one config-scaled spec under one L2 replacement policy.
 
         When the runner has a :class:`~repro.experiments.store.ResultStore`,
-        this is also where cached runs are served from.
+        this is also where cached runs are served from, under ``key`` (the
+        point's :func:`~repro.experiments.store.run_key`, hashed here when
+        the caller has not).
         """
         policy = PolicySpec.of(policy)
         effective_options = options or self.pipeline_options
         run_config = (config or self.config).with_l2_policy(policy)
 
-        key: Optional[str] = None
         if self.store is not None:
-            key = run_key(spec, policy, run_config, effective_options)
+            if key is None:
+                key = run_key(spec, policy, run_config, effective_options)
             cached = self.store.load_run(key, need_reuse=track_reuse)
             if cached is not None:
                 return RunArtifacts(
@@ -160,7 +163,7 @@ class BenchmarkRunner:
                 )
 
         artifacts = self._simulate(spec, effective_options, track_reuse, run_config)
-        if self.store is not None and key is not None:
+        if self.store is not None:
             self.store.save_run(
                 key,
                 StoredRun.from_tracker(artifacts.result, artifacts.reuse),
@@ -181,6 +184,7 @@ class BenchmarkRunner:
         policies: Sequence[str | PolicySpec],
         options: PipelineOptions | None = None,
         config: SimulatorConfig | None = None,
+        keys: Optional[Sequence[str]] = None,
     ) -> list[RunArtifacts]:
         """Simulate one resolved spec under several L2 policies in lockstep.
 
@@ -191,7 +195,8 @@ class BenchmarkRunner:
         bit-identical to calling :meth:`run_resolved` per policy (pinned by
         ``tests/test_lockstep.py``).  Store hits are served individually and
         only the missing policies are simulated; fresh results are stored
-        under the same keys solo runs use.
+        under the same keys solo runs use (``keys``, one per policy, when the
+        caller has hashed them).
         """
         wanted = [PolicySpec.of(policy) for policy in policies]
         effective_options = options or self.pipeline_options
@@ -203,7 +208,10 @@ class BenchmarkRunner:
             run_config = base_config.with_l2_policy(policy)
             key: Optional[str] = None
             if self.store is not None:
-                key = run_key(spec, policy, run_config, effective_options)
+                if keys is not None:
+                    key = keys[position]
+                else:
+                    key = run_key(spec, policy, run_config, effective_options)
                 cached = self.store.load_run(key)
                 if cached is not None:
                     artifacts[position] = RunArtifacts(result=cached.result)
@@ -249,6 +257,7 @@ class BenchmarkRunner:
         options: PipelineOptions | None = None,
         interleave: Sequence[int] = (),
         config: SimulatorConfig | None = None,
+        key: Optional[str] = None,
     ) -> RunArtifacts:
         """Simulate N resolved per-core specs interleaved over one shared
         L2/SLC (:class:`~repro.sim.multicore.MulticoreSimulator`).
@@ -266,11 +275,11 @@ class BenchmarkRunner:
         run_config = (config or self.config).with_l2_policy(policy)
         ratio = normalize_interleave(interleave, len(specs))
 
-        key: Optional[str] = None
         if self.store is not None:
-            key = multicore_run_key(
-                specs, policy, run_config, effective_options, ratio
-            )
+            if key is None:
+                key = multicore_run_key(
+                    specs, policy, run_config, effective_options, ratio
+                )
             cached = self.store.load_multicore(key)
             if cached is not None:
                 return RunArtifacts(result=cached)
@@ -290,7 +299,7 @@ class BenchmarkRunner:
         simulator.warm_up([warmup for warmup, _ in pairs])
         result = simulator.run([measured for _, measured in pairs])
         self.simulations_run += 1
-        if self.store is not None and key is not None:
+        if self.store is not None:
             self.store.save_multicore(
                 key,
                 result,
@@ -338,16 +347,22 @@ class BenchmarkRunner:
         A unit (:meth:`repro.api.session.Session._units`) is a lockstep
         group — same workload, config and pipeline options, one point per
         L2 policy — or a single point: a solo run, a reuse-tracking run or a
-        multi-core co-run.
+        multi-core co-run.  Each point's store key is the one its request
+        hashed (:meth:`~repro.api.scenario.RunRequest.store_key`).
         """
         first = unit[0]
+        keys = None
+        if self.store is not None:
+            keys = [request.store_key() for request in unit]
         if len(unit) > 1:
             return self.run_lockstep_resolved(
                 first.spec,
                 [request.policy for request in unit],
                 options=first.options,
                 config=first.config,
+                keys=keys,
             )
+        key = keys[0] if keys else None
         if first.is_multicore:
             return [
                 self.run_cores_resolved(
@@ -356,6 +371,7 @@ class BenchmarkRunner:
                     options=first.options,
                     interleave=first.interleave,
                     config=first.config,
+                    key=key,
                 )
             ]
         return [
@@ -365,6 +381,7 @@ class BenchmarkRunner:
                 options=first.options,
                 track_reuse=first.track_reuse,
                 config=first.config,
+                key=key,
             )
         ]
 

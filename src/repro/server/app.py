@@ -20,7 +20,7 @@ Endpoints::
     GET  /healthz           liveness              -> 200 {status: "ok"}
     GET  /metrics           counters              -> 200 (see JobManager.metrics)
 
-Every response body is JSON.  SIGTERM/SIGINT trigger a graceful drain:
+Every response body is compact JSON.  SIGTERM/SIGINT trigger a graceful drain:
 the listener stops accepting, every accepted job finishes, workers join,
 then :meth:`ReproServer.serve_forever` returns (the CLI exits 0).  The
 handlers never call ``HTTPServer.shutdown`` directly from a serving thread
@@ -37,6 +37,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
 from repro.common.errors import ReproError
+from repro.common.hashing import compact_json
 from repro.server.jobs import (
     DONE,
     FAILED,
@@ -65,7 +66,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _send(
         self, status: int, payload: dict, headers: Optional[dict] = None
     ) -> None:
-        body = json.dumps(payload, indent=1).encode("utf-8") + b"\n"
+        body = compact_json(payload).encode("utf-8") + b"\n"
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))

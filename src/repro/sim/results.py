@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from repro.common.hashing import canonical_payload
 from repro.cpu.topdown import TopDownBreakdown
 
 
@@ -56,16 +56,12 @@ class SimulationResult:
 
     # ---------------------------------------------------------- serialisation
     def to_dict(self) -> dict:
-        """JSON-serialisable form; round-trips exactly via :meth:`from_dict`."""
-        payload = dataclasses.asdict(self)
-        # JSON object keys are strings; from_dict restores the int line keys.
-        payload["line_stall_cycles"] = {
-            str(k): v for k, v in self.line_stall_cycles.items()
-        }
-        payload["line_miss_counts"] = {
-            str(k): v for k, v in self.line_miss_counts.items()
-        }
-        return payload
+        """JSON-serialisable form; round-trips exactly via :meth:`from_dict`.
+
+        The canonical payload: fields in order, the top-down breakdown as a
+        dict, and the int line keys as strings (``from_dict`` restores them).
+        """
+        return canonical_payload(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SimulationResult":
@@ -102,18 +98,12 @@ class MulticoreResult:
 
     # ---------------------------------------------------------- serialisation
     def to_dict(self) -> dict:
-        """JSON-serialisable form; round-trips exactly via :meth:`from_dict`."""
-        return {
-            "cores": [result.to_dict() for result in self.cores],
-            "interleave": list(self.interleave),
-            "occupancy": {str(k): v for k, v in self.occupancy.items()},
-            "inter_core_evictions": {
-                str(k): v for k, v in self.inter_core_evictions.items()
-            },
-            "evictions_caused": {
-                str(k): v for k, v in self.evictions_caused.items()
-            },
-        }
+        """JSON-serialisable form; round-trips exactly via :meth:`from_dict`.
+
+        The canonical payload: each core's :meth:`SimulationResult.to_dict`,
+        the interleave as a list and the int core keys as strings.
+        """
+        return canonical_payload(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MulticoreResult":

@@ -63,10 +63,12 @@ __all__ = [
     "make_session",
     "make_store",
     "read_quarantined_entry",
+    "read_raw_entry",
     "reset_fault_counters",
     "small_lru_cache",
     "small_srrip_cache",
     "wait_until",
+    "write_raw_entry",
 ]
 
 
@@ -134,10 +136,20 @@ def damage_store_entry(
     """Overwrite a stored payload with undecodable bytes, backend-agnostically.
 
     The corruption tests poke damage *behind* the store (a torn write, bit
-    rot) and assert the quarantine behaviour; this is the one place that
-    knows how to reach each backend's storage directly — a file write for
-    ``dir``, an SQL ``UPDATE`` for ``sqlite`` — so the tests themselves stay
-    layout-free and run against every backend unchanged.
+    rot) and assert the quarantine behaviour.
+    """
+    write_raw_entry(store, key, text, space)
+
+
+def write_raw_entry(
+    store: ResultStore, key: str, text: str, space: str = "runs"
+) -> None:
+    """Replace the stored text of an existing entry, backend-agnostically.
+
+    This and :func:`read_raw_entry` are the one place that knows how to
+    reach each backend's storage directly — a file for ``dir``, an SQL row
+    for ``sqlite`` — so the tests that damage entries or write them in an
+    older format stay layout-free and run against every backend unchanged.
     """
     from repro.experiments.backends import DirBackend, SQLiteBackend
 
@@ -151,7 +163,26 @@ def damage_store_entry(
                 (text, space, key),
             )
     else:  # pragma: no cover - future backends must teach this helper
-        raise NotImplementedError(f"cannot damage entries of {backend!r}")
+        raise NotImplementedError(f"cannot write entries of {backend!r}")
+
+
+def read_raw_entry(store: ResultStore, key: str, space: str = "runs") -> str:
+    """The stored text of an entry, backend-agnostically."""
+    from repro.experiments.backends import DirBackend, SQLiteBackend
+
+    backend = store.backend
+    if isinstance(backend, DirBackend):
+        return backend.path_for(space, key).read_text(encoding="utf-8")
+    if isinstance(backend, SQLiteBackend):
+        with backend._connect() as connection:
+            row = connection.execute(
+                "SELECT payload FROM entries WHERE space = ? AND key = ?",
+                (space, key),
+            ).fetchone()
+        return row[0]
+    raise NotImplementedError(  # pragma: no cover
+        f"cannot read entries of {backend!r}"
+    )
 
 
 def read_quarantined_entry(

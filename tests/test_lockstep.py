@@ -17,6 +17,7 @@ import pytest
 from repro.api.scenario import Scenario
 from repro.api.session import Session
 from repro.common.temperature import Temperature
+from repro.common.trace import PackedTrace
 from repro.core.pipeline import CoDesignPipeline
 from repro.cpu.core import run_lanes
 from repro.experiments.bench import build_traces
@@ -160,6 +161,44 @@ class TestLaneSharedWork:
             assert simulator.hierarchy.stats == solo.hierarchy.stats, policy
             # The trace must train the prefetchers, or nothing is pinned.
             assert solo.hierarchy.stats.prefetches_issued > 500, policy
+
+    def test_mmu_lane_builds_no_virtual_data_lines(self, monkeypatch):
+        """Under an MMU a data access's physical line comes from its
+        translation, so a lane never builds the trace's virtual
+        ``mem_lines`` column; under identity translation it reads it."""
+        config = SimulatorConfig.scaled()
+        records, packed = build_traces("streaming", self.INSTRUCTIONS)
+        built = []
+        mem_lines = PackedTrace.mem_lines
+
+        def counting(trace, line_size):
+            built.append(line_size)
+            return mem_lines(trace, line_size)
+
+        monkeypatch.setattr(PackedTrace, "mem_lines", counting)
+        shared_table = self.page_table()
+        lane = [
+            SystemSimulator(
+                config.with_l2_policy(policy),
+                translator=MMU(shared_table),
+                benchmark="streaming",
+            )
+            for policy in self.POLICIES
+        ]
+        lane_results = run_lockstep(lane, packed, packed)
+        assert built == []
+        for policy, result in zip(self.POLICIES, lane_results):
+            solo = SystemSimulator(
+                config.with_l2_policy(policy),
+                translator=MMU(self.page_table()),
+                benchmark="streaming",
+            )
+            solo.warm_up(records)
+            assert result == solo.run(records), policy
+
+        identity = SystemSimulator(config, benchmark="streaming")
+        run_lockstep([identity], packed, packed)
+        assert built
 
     def test_mismatched_prefetchers_rejected(self):
         """The lead core's prefetchers train for the whole lane, so cores

@@ -12,15 +12,26 @@ of poking the filesystem layout directly.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.api.scenario import Scenario
 from repro.api.session import Session
+from repro.cli.main import main
 from repro.core.pipeline import CoDesignPipeline, PipelineOptions
+from repro.experiments import runner as runner_module
+from repro.experiments import store as store_module
 from repro.experiments.backends import backend_names
+from repro.experiments.figure6 import run_figure6
 from repro.experiments.store import ResultStore, multicore_run_key, run_key
-from repro.sim.config import SimulatorConfig
-from repro.testing import damage_store_entry, read_quarantined_entry
+from repro.sim.config import EVALUATED_POLICIES, SimulatorConfig
+from repro.testing import (
+    damage_store_entry,
+    read_quarantined_entry,
+    read_raw_entry,
+    write_raw_entry,
+)
 from repro.workloads.spec import tiny_spec
 
 
@@ -159,6 +170,28 @@ class TestCachedRuns:
         assert replay.simulations_run == 0
         assert (store.hits, store.misses) == (4, 0)
         assert len(reads) == len(set(reads)) == 4
+
+    def test_warm_figure6_hashes_each_key_once(self, make_store, config, monkeypatch):
+        """The executor's store probe and the runner's load share one run
+        key per point: a warm plan hashes each point once."""
+        workloads = ("tiny", "zipf:alpha=1.2,instructions=6000,warmup=2000")
+        run_figure6(workloads, session=Session(config=config, store=make_store()))
+        hashed = []
+
+        def counting(*args):
+            hashed.append(args)
+            return run_key(*args)
+
+        monkeypatch.setattr(store_module, "run_key", counting)
+        monkeypatch.setattr(runner_module, "run_key", counting)
+        store = make_store()
+        # jobs=0 makes the executor probe the store before running units.
+        session = Session(config=config, store=store, jobs=0)
+        run_figure6(workloads, session=session)
+        points = len(workloads) * (1 + len(EVALUATED_POLICIES))
+        assert session.simulations_run == 0
+        assert (store.hits, store.misses) == (points, 0)
+        assert len(hashed) == points
 
     def test_pooled_plan_keeps_no_held_entries(self, make_store, config):
         """Units that go to pool workers hold a stored point and a missing
@@ -336,6 +369,94 @@ class TestBackendSelection:
             payloads[name] = (key, json.dumps(store.backend.load("runs", key)))
         (first, *rest) = payloads.values()
         assert all(entry == first for entry in rest)
+
+
+#: Two cores of ``repro run interference``: it stores two solo runs and a
+#: co-run per policy, and a report.
+INTERFERENCE = [
+    "run",
+    "interference",
+    "--core",
+    "tiny",
+    "--core",
+    "zipf:alpha=1.2,instructions=6000,warmup=2000",
+]
+
+
+class TestEntryFormat:
+    """Entries are compact JSON, and the indented entries earlier releases
+    wrote still load."""
+
+    @staticmethod
+    def cli(capsys, *argv) -> str:
+        assert main(list(argv)) == 0
+        return capsys.readouterr().out
+
+    def test_indented_entries_still_hit(self, make_store, capsys):
+        store = make_store()
+        where = ["--store", str(store.root), "--store-backend", store.backend.name]
+        cold = self.cli(capsys, *INTERFERENCE, *where)
+        reports = {
+            form: self.cli(capsys, "report", "interference", "--format", form, *where)
+            for form in ("text", "json", "csv")
+        }
+        keys = store.backend.keys("runs")
+        kinds = [store.backend.load("runs", key).get("kind") for key in keys]
+        assert sorted(map(str, set(kinds))) == ["None", "multicore"]
+
+        # Rewrite every entry the way earlier releases wrote it.
+        for space, names in (("runs", keys), ("reports", ["interference"])):
+            for name in names:
+                entry = json.loads(read_raw_entry(store, name, space))
+                write_raw_entry(store, name, json.dumps(entry, indent=1), space)
+                assert read_raw_entry(store, name, space).count("\n") > 10
+
+        for form, printed in reports.items():
+            again = self.cli(capsys, "report", "interference", "--format", form, *where)
+            assert again == printed
+        old = make_store()
+        for key, kind in zip(keys, kinds):
+            load = old.load_multicore if kind == "multicore" else old.load_run
+            assert load(key) is not None
+        assert (old.hits, old.misses, old.corrupt) == (len(keys), 0, 0)
+
+        warm = self.cli(capsys, *INTERFERENCE, *where)
+        assert "# 0 simulation(s) run" in warm
+        body = [line for line in cold.splitlines() if not line.startswith("#")]
+        assert [line for line in warm.splitlines() if not line.startswith("#")] == body
+        # The warm run rewrote the report compactly and left the runs as
+        # they were; every form still prints the same.
+        assert "\n" not in read_raw_entry(store, "interference", "reports")
+        for form, printed in reports.items():
+            again = self.cli(capsys, "report", "interference", "--format", form, *where)
+            assert again == printed
+
+    def test_new_entries_are_compact_json(self, make_store, config, monkeypatch):
+        """Every entry's text is ``json.dumps`` with compact separators of
+        the payload the store saved, non-string keys included."""
+        store = make_store()
+        saved = {}
+        save = store.backend.save
+
+        def recording(space, key, payload):
+            saved[space, key] = json.dumps(payload, separators=(",", ":"))
+            save(space, key, payload)
+
+        monkeypatch.setattr(store.backend, "save", recording)
+        Session(config=config, store=store).run(*UNIT_SCENARIOS.values())
+        store.save_report("figure3", {"text": "t", "data": {"rows": [{"a": 1}]}})
+        store.backend.save(
+            "reports", "odd", {"data": {1: {"a": [{"b": {2: [1.5, None]}}]}}}
+        )
+        # Two single-core keys (the reuse point shares srrip's) and a co-run.
+        assert sorted(saved) == sorted(
+            [("runs", key) for key in store.backend.keys("runs")]
+            + [("reports", "figure3"), ("reports", "odd")]
+        )
+        assert len(store.backend.keys("runs")) == 3
+        for (space, key), expected in saved.items():
+            assert read_raw_entry(store, key, space) == expected
+        assert '{"1":{"a":[{"b":{"2":[1.5,null]}}]}}' in saved["reports", "odd"]
 
 
 class TestResultSerialisation:
