@@ -3,7 +3,8 @@
 
 The daemon in this repository turns the replay engine into a queryable
 service: POST a declarative submission, get a content-addressed job id,
-poll it, fetch results.  Identical concurrent submissions are deduplicated
+wait for it (one status request the daemon holds until the job ends),
+fetch results.  Identical concurrent submissions are deduplicated
 onto one running simulation, a full queue answers 429 with a Retry-After
 estimate, and SIGTERM drains every accepted job before the process exits.
 
@@ -81,6 +82,14 @@ def main() -> None:
                 f"{metrics['store']['writes']} entr(y/ies)"
             )
             assert jobs["deduped"] == 1 and jobs["completed"] == 1
+            # The wait was one held status request, and the client kept
+            # one connection open for all of them.
+            traffic = metrics["http"]
+            print(
+                f"http: {traffic['requests_served']} requests on "
+                f"{traffic['connections_opened']} connection(s), "
+                f"{traffic['waits_held']} wait(s) held"
+            )
         print("server drained and stopped")
 
 

@@ -129,6 +129,26 @@ class RunRequest:
             object.__setattr__(self, "_store_key", key)
         return key
 
+    def config_key(self, known: Optional[dict[int, str]] = None) -> str:
+        """Content hash of :attr:`config`, hashed once and kept on the request.
+
+        ``known`` maps ``id(config)`` to hashes already taken in the
+        caller's batch of requests (the executor passes one per call), so
+        requests that share a config object share one hash.  Like
+        :meth:`store_key`, this relies on a resolved request's config not
+        being mutated after planning.
+        """
+        key = self.__dict__.get("_config_key")
+        if key is None:
+            if known is not None:
+                key = known.get(id(self.config))
+            if key is None:
+                key = self.config.content_hash()
+                if known is not None:
+                    known[id(self.config)] = key
+            object.__setattr__(self, "_config_key", key)
+        return key
+
     def key(self) -> tuple:
         """Hashable dedup/equality coordinate of this point.
 

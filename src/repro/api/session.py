@@ -105,10 +105,6 @@ class Session:
         return Session(self.config, self.store, self.options, self.jobs, self.traces)
 
     # ---------------------------------------------------------------- engines
-    @staticmethod
-    def _runner_key(config: SimulatorConfig, options: PipelineOptions) -> tuple:
-        return (config.content_hash(), options.cache_key())
-
     def runner_for(
         self,
         config: Optional[SimulatorConfig] = None,
@@ -116,16 +112,23 @@ class Session:
     ) -> BenchmarkRunner:
         """The engine runner for a (config, options) pair, created on first
         use and cached so prepared workloads/traces are shared."""
+        run_config = config or self.config
+        return self._runner(
+            run_config, options or self.options, run_config.content_hash()
+        )
+
+    def _runner(
+        self, config: SimulatorConfig, options: PipelineOptions, config_key: str
+    ) -> BenchmarkRunner:
+        """:meth:`runner_for` given the config's content hash."""
         from repro.experiments.runner import BenchmarkRunner
 
-        run_config = config or self.config
-        run_options = options or self.options
-        key = self._runner_key(run_config, run_options)
+        key = (config_key, options.cache_key())
         runner = self._runners.get(key)
         if runner is None:
             runner = BenchmarkRunner(
-                config=run_config,
-                pipeline_options=run_options,
+                config=config,
+                pipeline_options=options,
                 store=self.store,
                 trace_archive=self.traces,
             )
@@ -185,9 +188,8 @@ class Session:
         options) whatever the number of requests; for a co-run this is core
         0's workload.
         """
-        return self.runner_for(request.config, request.options)._prepare_resolved(
-            request.spec, request.options
-        )
+        runner = self._runner(request.config, request.options, request.config_key())
+        return runner._prepare_resolved(request.spec, request.options)
 
     # -------------------------------------------------------------- execution
     def _execute_requests(
@@ -285,18 +287,17 @@ class Session:
         advance together.  Reuse-tracking points (the L2 observer hooks one
         hierarchy at a time) and multi-core co-runs are units of their own.
         Results are bit-identical to point-by-point execution for any
-        grouping.
+        grouping.  Each distinct config object is hashed once, and every
+        request keeps its config's key for the runner lookup of its unit.
         """
         units: dict[tuple, list[int]] = {}
+        known: dict[int, str] = {}
         for index, request in enumerate(requests):
+            config_key = request.config_key(known)
             if request.track_reuse or request.is_multicore:
                 key = ("solo", index)
             else:
-                key = (
-                    request.spec,
-                    request.config.content_hash(),
-                    request.options.cache_key(),
-                )
+                key = (request.spec, config_key, request.options.cache_key())
             units.setdefault(key, []).append(index)
         return list(units.values())
 
@@ -339,7 +340,8 @@ class Session:
     def _run_unit(self, unit: Sequence[RunRequest]) -> list[RunArtifacts]:
         """Run one unit in this process: the in-process and worker path."""
         first = unit[0]
-        return self.runner_for(first.config, first.options).run_points(unit)
+        runner = self._runner(first.config, first.options, first.config_key())
+        return runner.run_points(unit)
 
     # ---------------------------------------------------------- conveniences
     def run_one(

@@ -1058,6 +1058,8 @@ def _client_call(args, call) -> int:
     except TimeoutError as error:
         print(f"repro: {error}", file=sys.stderr)
         return 1
+    finally:
+        client.close()
 
 
 def _cmd_submit(args) -> int:

@@ -1,10 +1,18 @@
 """Blocking JSON client for the ``repro serve`` daemon.
 
-Stdlib-only (``http.client``), deliberately boring: one connection per
-request, JSON in, JSON out, errors as typed exceptions.  This is the one
-HTTP client in the tree — the CLI's ``repro submit|status|result`` and the
-test-suite both go through it, so the wire protocol is exercised end to end
-everywhere it is used.
+Stdlib-only (``http.client``), deliberately boring: JSON in, JSON out,
+errors as typed exceptions.  This is the one HTTP client in the tree — the
+CLI's ``repro submit|status|result`` and the test-suite both go through it,
+so the wire protocol is exercised end to end everywhere it is used.
+
+Each thread keeps one connection open between requests, but only while the
+server answers ``Connection: keep-alive`` (``repro serve`` does); against
+any other server every request gets its own connection.  A kept connection
+the server has closed meanwhile (its idle timeout, a restart) is noticed on
+first use and the request is sent once more on a fresh connection.
+:meth:`ReproClient.wait` asks the server to hold each status request until
+the job finishes (``GET /jobs/<id>?wait=S``), so a wait returns as soon as
+its job does and costs one request, not one per poll interval.
 
 Backpressure is first-class: a 429 raises :class:`ServerBusy` carrying the
 server's ``Retry-After`` estimate, and :meth:`ReproClient.submit` can
@@ -15,12 +23,12 @@ Transport failures are retryable too: a :class:`RetryPolicy` re-issues a
 request that died with :class:`ConnectionFailed` after a bounded,
 deterministic exponential backoff (the same formula as the sweep
 supervisor's :class:`~repro.experiments.supervisor.SupervisionPolicy`, so
-chaos runs reproduce).  Every call the client retries is idempotent by
-construction — GETs trivially, and ``POST /jobs`` because submissions are
-content-addressed: a resubmission after a daemon restart attaches to (or
-recreates) the same job key and never re-simulates a stored point.
-:meth:`ReproClient.wait` additionally rides out a daemon *bounce* mid-poll:
-a connection failure during polling counts against the wait deadline, not
+chaos runs reproduce).  Every request the client sends or re-sends is
+idempotent by construction — GETs trivially, and ``POST /jobs`` because
+submissions are content-addressed: a resubmission after a daemon restart
+attaches to (or recreates) the same job key and never re-simulates a stored
+point.  :meth:`ReproClient.wait` additionally rides out a daemon *bounce*:
+a connection failure while waiting counts against the wait deadline, not
 as an error, because a journal-backed daemon comes back with the same job
 ids.  The ``client.transport`` fault point (``REPRO_FAULTS``) injects
 transport failures without touching a socket.
@@ -31,15 +39,17 @@ from __future__ import annotations
 import json
 import os
 import random
+import socket
+import threading
 import time
 from dataclasses import dataclass
-from http.client import HTTPConnection
+from http.client import HTTPConnection, HTTPResponse
 from typing import Optional
 from urllib.parse import urlsplit
 
 from repro.common.errors import JobTimeout, ReproError
 from repro.common.faults import fire_point
-from repro.common.service import DEFAULT_PORT, URL_ENV_VAR
+from repro.common.service import DEFAULT_PORT, MAX_WAIT_SECONDS, URL_ENV_VAR
 
 #: Job states the server reports as final.
 TERMINAL_STATES = ("done", "failed")
@@ -157,6 +167,19 @@ class RetryPolicy:
         return base * (1.0 + self.jitter * (2.0 * rng.random() - 1.0))
 
 
+class _Connection(HTTPConnection):
+    """An ``HTTPConnection`` that sends without Nagle delay.
+
+    ``http.client`` writes a request's head and body in two sends; on a
+    kept-alive connection Nagle's algorithm would hold the body until the
+    server's delayed ACK of the head (~40 ms).
+    """
+
+    def connect(self) -> None:
+        super().connect()
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 class ReproClient:
     """Blocking client for one ``repro serve`` endpoint.
 
@@ -186,6 +209,25 @@ class ReproClient:
             retry = RetryPolicy(retries=retry)
         self.retry = retry
         self._ordinal = 0
+        #: ``connection``: this thread's kept-alive connection, if any.
+        self._local = threading.local()
+        #: Every thread's kept-alive connection, for :meth:`close`.
+        self._kept: set[HTTPConnection] = set()
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the connections this client keeps open, every thread's;
+        a later request opens a fresh one."""
+        with self._lock:
+            kept, self._kept = self._kept, set()
+        for connection in kept:
+            connection.close()
+
+    def __enter__(self) -> "ReproClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ---------------------------------------------------------------- plumbing
     def _request_once(
@@ -197,32 +239,66 @@ class ReproClient:
         bodies as :class:`MalformedResponse` — callers never see raw socket
         or ``json`` tracebacks.
         """
-        connection = HTTPConnection(self._host, self._port, timeout=self.timeout)
+        body = None
+        headers = {}
+        if payload is not None:
+            body = json.dumps(payload).encode("utf-8")
+            headers["Content-Type"] = "application/json"
         try:
-            body = None
-            headers = {}
-            if payload is not None:
-                body = json.dumps(payload).encode("utf-8")
-                headers["Content-Type"] = "application/json"
-            try:
-                # The transport failure point: REPRO_FAULTS=
-                # "client.transport:N=enospc" makes the N-th request this
-                # process issues die exactly like a refused connection.
-                fire_point("client.transport")
-                connection.request(method, path, body=body, headers=headers)
-                response = connection.getresponse()
-                raw = response.read()
-            except OSError as error:
-                raise ConnectionFailed(self.url, error) from error
-            try:
-                decoded = json.loads(raw) if raw else {}
-            except ValueError as error:
-                raise MalformedResponse(
-                    self.url, response.status, raw
-                ) from error
-            return response.status, dict(response.getheaders()), decoded
+            # The transport failure point: REPRO_FAULTS=
+            # "client.transport:N=enospc" makes the N-th request this
+            # process issues die exactly like a refused connection.
+            fire_point("client.transport")
+            kept = getattr(self._local, "connection", None)
+            self._local.connection = None
+            if kept is not None:
+                try:
+                    response, raw = self._exchange(kept, method, path, body, headers)
+                except ConnectionError:
+                    # The server closed the kept connection (idle timeout,
+                    # restart) before answering: send once more on a fresh
+                    # one.  Every request this client sends is idempotent.
+                    kept = None
+            if kept is None:
+                fresh = _Connection(self._host, self._port, timeout=self.timeout)
+                response, raw = self._exchange(fresh, method, path, body, headers)
+        except OSError as error:
+            raise ConnectionFailed(self.url, error) from error
+        try:
+            decoded = json.loads(raw) if raw else {}
+        except ValueError as error:
+            raise MalformedResponse(self.url, response.status, raw) from error
+        return response.status, dict(response.getheaders()), decoded
+
+    def _exchange(
+        self,
+        connection: HTTPConnection,
+        method: str,
+        path: str,
+        body: Optional[bytes],
+        headers: dict,
+    ) -> tuple[HTTPResponse, bytes]:
+        """Send one request and read its response on ``connection``, which
+        this thread keeps for its next request only when the server says
+        ``Connection: keep-alive`` (a server that does not could not serve
+        another client while this one held its connection open)."""
+        keep = False
+        try:
+            connection.request(method, path, body=body, headers=headers)
+            response = connection.getresponse()
+            raw = response.read()
+            keep = (response.getheader("Connection") or "").lower() == "keep-alive"
         finally:
-            connection.close()
+            with self._lock:
+                if keep:
+                    self._kept.add(connection)
+                else:
+                    self._kept.discard(connection)
+            if keep:
+                self._local.connection = connection
+            else:
+                connection.close()
+        return response, raw
 
     def _request(
         self,
@@ -307,21 +383,32 @@ class ReproClient:
         timeout: Optional[float] = DEFAULT_WAIT_TIMEOUT,
         poll: float = 0.2,
     ) -> dict:
-        """Poll until the job reaches a terminal state; returns its status.
+        """Block until the job reaches a terminal state; returns its status.
 
+        Each status request asks the server to hold it until the job ends
+        (``?wait=S``, S at most half this client's socket timeout, 30 s and
+        the time left), so the wait returns as soon as the job finishes.
         The wait is bounded (:data:`DEFAULT_WAIT_TIMEOUT` unless
         overridden; ``timeout=None`` waits forever) and ends in a
         :class:`~repro.common.errors.JobTimeout` naming the job.  A daemon
-        *bounce* mid-poll — connection refused while it restarts — is
-        absorbed: a journal-backed daemon recovers the same job ids, so the
-        poll simply resumes when it answers again, and the outage counts
-        against the deadline rather than failing the wait.
+        *bounce* — connection refused while it restarts — is absorbed: a
+        journal-backed daemon recovers the same job ids, so the wait simply
+        resumes when it answers again, and the outage counts against the
+        deadline rather than failing the wait.  ``poll`` paces the
+        reconnect attempts while the daemon is unreachable, and the
+        requests to a stopping daemon, which answers held requests early.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        state = "unknown"
+        longest = MAX_WAIT_SECONDS
+        if self.timeout:
+            longest = min(longest, self.timeout / 2)
         while True:
+            hold = longest
+            if deadline is not None:
+                hold = max(0.0, min(hold, deadline - time.monotonic()))
+            asked = time.monotonic()
             try:
-                snapshot = self.status(job_id)
+                snapshot = self._get(f"/jobs/{job_id}?wait={hold:.3f}")
             except ConnectionFailed:
                 if deadline is not None and time.monotonic() >= deadline:
                     raise JobTimeout(
@@ -337,7 +424,8 @@ class ReproClient:
                 raise JobTimeout(
                     f"job {job_id} still {state!r} after {timeout}s"
                 )
-            time.sleep(poll)
+            if time.monotonic() - asked < hold:
+                time.sleep(poll)
 
     def run(
         self,

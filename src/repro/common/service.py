@@ -10,3 +10,7 @@ DEFAULT_PORT = 8642
 
 #: Environment override for the service URL used by the CLI client commands.
 URL_ENV_VAR = "REPRO_SERVER_URL"
+
+#: Longest a ``GET /jobs/<id>?wait=S`` status request is held (seconds): the
+#: server clamps ``S`` to this, and the client never asks for more.
+MAX_WAIT_SECONDS = 30.0

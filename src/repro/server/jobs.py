@@ -56,7 +56,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.api.session import Session
@@ -115,8 +115,6 @@ class Job:
     error: Optional[dict] = None
     #: True when this job was re-enqueued from the journal after a restart.
     recovered: bool = False
-    #: Signalled on entering a terminal state (used by waiters and drain).
-    done_event: threading.Event = field(default_factory=threading.Event)
 
     @property
     def finished(self) -> bool:
@@ -204,6 +202,10 @@ class JobManager:
         # already promised and must never be dropped for capacity.
         self._queue: "queue.Queue[object]" = queue.Queue()
         self._lock = threading.Lock()
+        #: Notified whenever a job finishes (:meth:`wait`, :meth:`hold`) or
+        #: holds are released.
+        self._changed = threading.Condition(self._lock)
+        self._holds_released = False
         self._jobs: dict[str, Job] = {}
         self._by_key: dict[str, str] = {}
         self._threads: list[threading.Thread] = []
@@ -308,11 +310,31 @@ class JobManager:
         job = self.get(job_id)
         if job is None:
             raise KeyError(job_id)
-        if not job.done_event.wait(timeout):
-            raise JobTimeout(
-                f"job {job_id} still {job.state} after {timeout}s"
-            )
+        with self._changed:
+            if not self._changed.wait_for(lambda: job.finished, timeout):
+                raise JobTimeout(
+                    f"job {job_id} still {job.state} after {timeout}s"
+                )
         return job
+
+    def hold(self, job: Job, timeout: float) -> bool:
+        """Block until ``job`` finishes, ``timeout`` seconds pass or
+        :meth:`release_holds` runs; True when the job has finished.
+
+        The ``GET /jobs/<id>?wait=S`` long-poll: one condition wakes every
+        holder when any job finishes, and each re-checks its own job.
+        """
+        with self._changed:
+            self._changed.wait_for(
+                lambda: job.finished or self._holds_released, timeout
+            )
+            return job.finished
+
+    def release_holds(self) -> None:
+        """End every current and future :meth:`hold` at once (server stop)."""
+        with self._changed:
+            self._holds_released = True
+            self._changed.notify_all()
 
     def jobs_snapshot(self) -> list[dict]:
         """Compact rows for every known job, oldest first (``GET /jobs``)."""
@@ -560,7 +582,7 @@ class JobManager:
         self._wall_count += 1
         self._wall_total += job.wall_time
         self._wall_max = max(self._wall_max, job.wall_time)
-        job.done_event.set()
+        self._changed.notify_all()
 
     @staticmethod
     def _run(session: Session, parsed: ParsedSubmission) -> list[dict]:
@@ -616,6 +638,8 @@ class JobManager:
             self._queue.put(_STOP)
         for thread in threads:
             thread.join()
+        # Jobs dropped by drain=False never finish; nobody may wait on them.
+        self.release_holds()
         self._heartbeat_stop.set()
         if self._heartbeat is not None:
             self._heartbeat.join()

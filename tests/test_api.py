@@ -297,3 +297,29 @@ class TestExecutorStartsNoPool:
         manager.start(1)
         manager.shutdown(drain=True)  # returns only once the job is done
         assert job.state == "done", job.error
+
+
+class TestConfigHashing:
+    def test_each_config_object_is_hashed_once_per_execution(self, monkeypatch):
+        """Grouping units and looking up their runners hash each distinct
+        config object of a call once, not once per request and per unit."""
+        import dataclasses
+
+        session = make_session()
+        twin = dataclasses.replace(session.config)  # equal content, new object
+        plan = session.plan(
+            Scenario(benchmarks=TWO_WORKLOADS, policies=("srrip", "trrip-1")),
+            Scenario(benchmarks=TWO_WORKLOADS, policies=("lru",), config=twin),
+        )
+        assert len(plan.unique) == 6
+        hashed = []
+        content_hash = SimulatorConfig.content_hash
+
+        def counting(config):
+            hashed.append(config)
+            return content_hash(config)
+
+        monkeypatch.setattr(SimulatorConfig, "content_hash", counting)
+        session.execute(plan)
+        assert session.simulations_run == 6
+        assert sorted(map(id, hashed)) == sorted([id(session.config), id(twin)])

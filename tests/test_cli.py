@@ -287,11 +287,13 @@ class TestSweep:
 
 class TestBench:
     def test_bench_tiny_writes_report_and_asserts_floors(self, tmp_path, capsys):
-        """One-round tiny bench: table printed, JSON written, floors hold.
+        """Tiny bench: table printed, JSON written, floors hold.
 
         The floors are deliberately conservative, so a healthy engine passes
         even on a noisy test machine; a real hot-path regression (orders of
-        magnitude, not percent) would exit non-zero here.
+        magnitude, not percent) would exit non-zero here.  It measures as
+        ``repro bench`` does by default, best of three rounds: a single
+        round's wall-clock ratio can dip to a floor on a busy host.
         """
         from repro.experiments.bench import load_floors
 
@@ -301,8 +303,6 @@ class TestBench:
                 [
                     "bench",
                     "--tiny",
-                    "--rounds",
-                    "1",
                     "--no-sweep",
                     "--output",
                     str(output),
