@@ -13,7 +13,8 @@ results:
    workload-affine tasks on a supervised worker pool — and fans results
    back out to every requested point;
 3. :meth:`Session.stream` / :meth:`Session.run` / :meth:`Session.run_one` /
-   :meth:`Session.sweep` wrap both for the common call shapes.
+   :meth:`Session.sweep` / :meth:`Session.sweep_checkpointed` wrap both for
+   the common call shapes.
 
 Results come back as :class:`~repro.experiments.runner.RunArtifacts` (a
 result plus requested reuse histograms) in deterministic plan order,
@@ -37,6 +38,7 @@ from repro.api.scenario import (
     resolve_benchmark,
 )
 from repro.cache.replacement.spec import PolicySpec
+from repro.common.faults import fire_point
 from repro.core.pipeline import PipelineOptions, PreparedWorkload
 from repro.sim.config import (
     BASELINE_POLICY,
@@ -50,6 +52,8 @@ if TYPE_CHECKING:  # engine types; imported lazily at runtime (see below)
     from repro.experiments.runner import BenchmarkRunner, RunArtifacts
     from repro.experiments.store import ResultStore
     from repro.experiments.policy_sweep import PolicySweepResult
+    from repro.experiments.supervisor import PoolReport, SupervisionPolicy
+    from repro.experiments.sweep import CheckpointedSweep
 
 # The engine lives in repro.experiments, whose experiment modules import
 # this API package at module level; importing the engine lazily keeps the
@@ -158,7 +162,7 @@ class Session:
         ``jobs`` (default: the session's) caps the worker processes; see
         :meth:`_execute_requests`.
         """
-        unique = self._execute_requests(plan.unique, jobs)
+        unique, _, _ = self._execute_requests(plan.unique, jobs)
         return [unique[index] for index in plan.indices]
 
     def run(
@@ -193,30 +197,51 @@ class Session:
 
     # -------------------------------------------------------------- execution
     def _execute_requests(
-        self, requests: Sequence[RunRequest], jobs: Optional[int] = None
-    ) -> list[RunArtifacts]:
+        self,
+        requests: Sequence[RunRequest],
+        jobs: Optional[int] = None,
+        supervision: Optional[SupervisionPolicy] = None,
+    ) -> tuple[list, list, Optional[PoolReport]]:
         """Run resolved requests (no dedup), results in request order.
 
         The one executor behind :meth:`execute` (so :meth:`run` and
-        :meth:`stream`) and :meth:`sweep`.  Requests are split into units
-        (:meth:`_units`); the units with a point missing from the store are
-        merged into workload-affine tasks (:meth:`_tasks`) that run on a
+        :meth:`stream`), :meth:`sweep` and :meth:`sweep_checkpointed`.
+        Requests are split into units (:meth:`_units`); the points missing
+        from the store are merged into workload-affine tasks
+        (:meth:`_tasks`) that run on a
         :class:`~repro.experiments.supervisor.SupervisedPool` through the
-        same :meth:`_run_unit` code as the in-process path.  ``jobs``
-        (default: the session's) is the worker count — ``None``/1 runs
-        everything in-process, 0 uses every usable CPU — capped by the
-        number of tasks; with fewer than two workers nothing forks, so a
-        fully stored plan never does.  Pooled points come back from their
-        worker as ``StoredRun``s and become ``RunArtifacts`` here, so every
-        point is a ``RunArtifacts``, bit-identical for every ``jobs`` value.
+        same :meth:`_run_unit` code as the in-process path, which runs
+        every other point.  ``jobs`` (default: the session's) is the worker
+        count — ``None``/1 one, 0 every usable CPU — capped by the number
+        of tasks.  Pooled points come back from their worker as
+        ``StoredRun``s and become ``RunArtifacts`` here, so every point is
+        a ``RunArtifacts``, bit-identical for every ``jobs`` value.
+
+        Returns ``(runs, outcomes, report)``: per request its run and the
+        :class:`~repro.experiments.supervisor.UnitOutcome` of the task that
+        ran it (``None`` for a point run in-process), and the pool's
+        report (``None`` when nothing was pooled).
+
+        Without ``supervision`` execution is all or nothing (no retries,
+        the first failure raises) and runs in-process below two workers, so
+        a fully stored plan never forks.  With a
+        :class:`~repro.experiments.supervisor.SupervisionPolicy` every
+        pending task runs in a worker, even with one, under the policy's
+        retries, backoff and per-point timeout; the ``sweep.unit`` fault
+        site fires in the worker for each point of a task (keyed by its
+        request position) and ``sweep.completed`` in the parent for each
+        completed point.  Failures and interruptions are then reported, not
+        raised: the run of a point that did not finish is ``None``.
         """
         from repro.experiments.runner import RunArtifacts
 
         jobs = self.jobs if jobs is None else jobs
         units = self._units(requests)
+        runs: list = [None] * len(requests)
+        outcomes: list = [None] * len(requests)
         try:
             tasks = []
-            if jobs not in (None, 1) and len(units) > 1:
+            if supervision is not None or (jobs not in (None, 1) and len(units) > 1):
                 tasks = self._tasks(requests, units)
             if tasks:
                 # A fully stored plan has no tasks, so it never loads the
@@ -228,52 +253,68 @@ class Session:
                 )
 
                 workers = worker_count(jobs, len(tasks))
-                if workers < 2:
+                if workers < 2 and supervision is None:
                     tasks = []
-            pooled = {position for task in tasks for position in task}
-            runs: list = [None] * len(requests)
-            for position, unit in enumerate(units):
-                if position not in pooled:
-                    done = self._run_unit([requests[index] for index in unit])
-                    for index, run in zip(unit, done):
+            # The request positions of each task's points.
+            points = [[index for unit in task for index in unit] for task in tasks]
+            pooled = {index for task_points in points for index in task_points}
+            for unit in units:
+                local = [index for index in unit if index not in pooled]
+                if local:
+                    done = self._run_unit([requests[index] for index in local])
+                    for index, run in zip(local, done):
                         runs[index] = run
             if not tasks:
-                return runs
+                return runs, outcomes, None
+            completed = 0
+
+            def on_result(position: int, value: tuple) -> None:
+                nonlocal completed
+                # Fold the worker's counters back before the failure point
+                # below: a completed point is durable and counted even when
+                # the run is interrupted right after it.
+                self.runner.fold_worker_counters(*value[1:])
+                if supervision is not None:
+                    for _ in points[position]:
+                        completed += 1
+                        fire_point("sweep.completed", completed)
+
             pool = SupervisedPool(
                 _run_task,
                 workers=workers,
                 initializer=_init_task_worker,
                 initargs=(self.config, self.store, self.options, self.traces),
-                # All or nothing, like a bare Pool.map (no retries, stop on the
-                # first failure), with supervised teardown: a crash or a
-                # KeyboardInterrupt terminates and joins every child.
-                policy=SupervisionPolicy(max_retries=0, keep_going=False),
+                # Unsupervised: all or nothing, like a bare Pool.map (no
+                # retries, stop on the first failure), with supervised
+                # teardown — a crash or a KeyboardInterrupt terminates and
+                # joins every child.
+                policy=supervision or SupervisionPolicy(max_retries=0),
+                on_result=on_result,
             )
             payloads = [
-                [[requests[index] for index in units[position]] for position in task]
-                for task in tasks
+                (
+                    task_points if supervision is not None else [],
+                    [[requests[index] for index in unit] for unit in task],
+                )
+                for task, task_points in zip(tasks, points)
             ]
-            try:
-                report = pool.run(payloads)
-            finally:
-                # Worker counters die with the pool; fold back every completed
-                # task, even when the run was interrupted, so the store and
-                # archive stats reflect the work that landed durably.
-                for outcome in pool.outcomes:
-                    if outcome.status == "done":
-                        self.runner.fold_worker_counters(*outcome.value[1:])
-            report.raise_on_failure()
-            for task, outcome in zip(tasks, report.outcomes):
-                for position, done in zip(task, outcome.value[0]):
-                    for index, run in zip(units[position], done):
+            report = pool.run(payloads, costs=[len(p) for p in points])
+            if supervision is None:
+                report.raise_on_failure()
+            for task, task_points, outcome in zip(tasks, points, report.outcomes):
+                done = outcome.value[0] if outcome.status == "done" else ()
+                for unit, unit_runs in zip(task, done):
+                    for index, run in zip(unit, unit_runs):
                         runs[index] = RunArtifacts(
                             result=run.result, reuse=run.reuse_tracker()
                         )
-            return runs
+                for index in task_points:
+                    outcomes[index] = outcome
+            return runs, outcomes, report
         finally:
             # The probe in _tasks keeps the entries it read for the loads
-            # that follow; drop those no load here took (pooled units load
-            # in their workers, and an exception leaves units unrun).
+            # that follow; drop those no load here took (an exception
+            # leaves points unrun).
             if self.store is not None:
                 self.store.forget_held()
 
@@ -303,25 +344,30 @@ class Session:
 
     def _tasks(
         self, requests: Sequence[RunRequest], units: list[list[int]]
-    ) -> list[list[int]]:
-        """Unit positions merged into workload-affine tasks.
+    ) -> list[list[list[int]]]:
+        """The points the store cannot serve, as workload-affine tasks.
 
-        Only units with a point the store cannot serve are pending; a
-        pending unit joins every task that touches one of its workloads
-        (spec and pipeline options; all cores of a co-run), so one process
-        prepares and traces each workload, whatever the scheduling.  Larger
-        tasks go first.  The store probe counts neither hits nor misses:
-        the unit's own run counts them once.
+        Each task is a list of units, each unit the request positions of
+        its pending points (a stored point is loaded in-process and never
+        goes to a worker).  A pending unit joins every task that touches
+        one of its workloads (spec and pipeline options; all cores of a
+        co-run), so one process prepares and traces each workload,
+        whatever the scheduling.  Larger tasks go first.  The store probe
+        counts neither hits nor misses: the point's own run counts them
+        once.
         """
-        tasks: list[tuple[set, list[int]]] = []
-        for position, unit in enumerate(units):
-            if self.store is not None and all(
-                self.store.holds(
-                    requests[index].store_key(), requests[index].track_reuse
-                )
-                for index in unit
-            ):
-                continue
+        tasks: list[tuple[set, list[list[int]]]] = []
+        for unit in units:
+            if self.store is not None:
+                unit = [
+                    index
+                    for index in unit
+                    if not self.store.holds(
+                        requests[index].store_key(), requests[index].track_reuse
+                    )
+                ]
+                if not unit:
+                    continue
             first = requests[unit[0]]
             workloads = {
                 (spec, first.options.cache_key())
@@ -330,11 +376,11 @@ class Session:
             touching = [task for task in tasks if task[0] & workloads]
             tasks = [task for task in tasks if not task[0] & workloads]
             workloads = workloads.union(*(touched for touched, _ in touching))
-            members = sorted([position, *(m for _, ms in touching for m in ms)])
+            members = sorted([unit, *(m for _, ms in touching for m in ms)])
             tasks.append((workloads, members))
         return sorted(
             (members for _, members in tasks),
-            key=lambda members: -sum(len(units[p]) for p in members),
+            key=lambda members: -sum(map(len, members)),
         )
 
     def _run_unit(self, unit: Sequence[RunRequest]) -> list[RunArtifacts]:
@@ -379,6 +425,56 @@ class Session:
         benchmark — the order (and therefore the exact result contents) of
         the historical serial sweep loop, for every ``jobs`` value.
         """
+        sweep, requests = self._grid(benchmarks, policies, baseline, config)
+        runs, _, _ = self._execute_requests(requests, jobs)
+        sweep.add(requests, runs)
+        return sweep
+
+    def sweep_checkpointed(
+        self,
+        benchmarks: Optional[Sequence[Benchmark]] = None,
+        policies: Optional[Iterable[str | PolicySpec]] = None,
+        baseline: str | PolicySpec = BASELINE_POLICY,
+        config: Optional[SimulatorConfig] = None,
+        jobs: Optional[int] = None,
+        supervision: Optional[SupervisionPolicy] = None,
+    ) -> CheckpointedSweep:
+        """Fault-tolerant :meth:`sweep`: supervised, reported, re-runnable.
+
+        The grid of :meth:`sweep`, in the same order, runs through the
+        executor with a
+        :class:`~repro.experiments.supervisor.SupervisionPolicy` (default:
+        one retry, no timeout, stop at the first exhausted task): points
+        the result store holds are loaded, the rest run as one lockstep
+        task per workload in supervised worker processes, retried, timed
+        out and backed off by the policy.  Returns a
+        :class:`~repro.experiments.sweep.CheckpointedSweep`; failures and
+        interruptions are reported structurally, never raised mid-sweep.
+        Every finished point is durable in the store, so calling this again
+        with the same arguments is the resume: it simulates only the
+        missing points.  The result lists the baseline first among its
+        policies.
+        """
+        from repro.experiments.supervisor import SupervisionPolicy
+        from repro.experiments.sweep import execute_checkpointed
+
+        sweep, requests = self._grid(benchmarks, policies, baseline, config)
+        baseline = sweep.baseline_policy
+        sweep.policies = (baseline, *(p for p in sweep.policies if p != baseline))
+        return execute_checkpointed(
+            self, requests, sweep, jobs, supervision or SupervisionPolicy()
+        )
+
+    def _grid(
+        self,
+        benchmarks: Optional[Sequence[Benchmark]],
+        policies: Optional[Iterable[str | PolicySpec]],
+        baseline: str | PolicySpec,
+        config: Optional[SimulatorConfig],
+    ) -> tuple[PolicySweepResult, list[RunRequest]]:
+        """An empty sweep result for a grid (default: the ten proxies and
+        the evaluated policies), and its requests: benchmark-major, with
+        the baseline first within each benchmark."""
         from repro.experiments.policy_sweep import PolicySweepResult
 
         run_config = config or self.config
@@ -401,55 +497,7 @@ class Session:
             for spec in specs
             for policy in ordered
         ]
-        for request, run in zip(requests, self._execute_requests(requests, jobs)):
-            sweep.results.setdefault(request.spec.name, {})[
-                request.policy.canonical()
-            ] = run.result
-        return sweep
-
-    def sweep_checkpointed(
-        self,
-        benchmarks: Optional[Sequence[Benchmark]] = None,
-        policies: Optional[Iterable[str | PolicySpec]] = None,
-        baseline: str | PolicySpec = BASELINE_POLICY,
-        config: Optional[SimulatorConfig] = None,
-        jobs: Optional[int] = None,
-        supervision=None,
-        resume: bool = False,
-    ):
-        """Fault-tolerant :meth:`sweep`: checkpointed, supervised, resumable.
-
-        The grid is expanded into a hashed
-        :class:`~repro.experiments.sweep.SweepManifest`; units already in
-        the result store are served from it, the rest run as one lockstep
-        task per workload in supervised worker processes with the given
-        :class:`~repro.experiments.supervisor.SupervisionPolicy` (retries,
-        timeouts, backoff), journalled to
-        ``<store>/journals/<manifest>.jsonl``.  ``resume=True`` requires a
-        prior journal for the same manifest and executes only the missing
-        units.  Returns a
-        :class:`~repro.experiments.sweep.CheckpointedSweep`; failures and
-        interruptions are reported structurally, never raised mid-sweep.
-        Unit order — hence store contents and sweep results — matches
-        :meth:`sweep` exactly.
-        """
-        from repro.experiments.sweep import build_manifest, execute_checkpointed
-
-        run_config = config or self.config
-        manifest = build_manifest(
-            benchmarks=list(benchmarks or PROXY_BENCHMARK_NAMES),
-            policies=list(policies or EVALUATED_POLICIES),
-            baseline=baseline,
-            config=run_config,
-            options=self.options,
-        )
-        return execute_checkpointed(
-            self.runner_for(run_config),
-            manifest,
-            jobs=self.jobs if jobs is None else jobs,
-            supervision=supervision,
-            resume=resume,
-        )
+        return sweep, requests
 
 
 #: Per-worker-process session holding the worker's store and archive,
@@ -464,18 +512,27 @@ def _init_task_worker(config, store, options, traces) -> None:
     )
 
 
-def _run_task(units: list[list[RunRequest]], attempt: int = 1) -> tuple:
-    """Run one task of the executor or of ``repro sweep`` in a pool worker.
+def _run_task(
+    task: tuple[list[int], list[list[RunRequest]]], attempt: int = 1
+) -> tuple:
+    """Run one task of the executor in a pool worker.
 
-    Returns (per-unit ``StoredRun`` lists, simulations executed, store
-    counter deltas, trace-archive counter deltas).  The task runs in a fresh
-    session over the worker's store and archive, so its prepared workloads
-    and packed traces are freed when it returns; tasks are workload-affine,
-    so no later task would have reused them.
+    ``task`` is (the request positions the ``sweep.unit`` fault site fires
+    for — every point of a supervised task, none otherwise — and the
+    task's units).  The site fires for each position before any work, so
+    a fault on one point fails its whole task.  Returns (per-unit
+    ``StoredRun`` lists, simulations executed, store counter deltas,
+    trace-archive counter deltas).  The task runs in a fresh session over
+    the worker's store and archive, so its prepared workloads and packed
+    traces are freed when it returns; tasks are workload-affine, so no
+    later task would have reused them.
     """
     from repro.experiments.runner import _counter_delta, _counter_state
     from repro.experiments.store import StoredRun
 
+    points, units = task
+    for index in points:
+        fire_point("sweep.unit", index, attempt)
     assert _TASK_SESSION is not None, "worker initializer did not run"
     session = _TASK_SESSION.fresh()
     store_before = _counter_state(session.store)

@@ -199,16 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fault_group = sweep_parser.add_argument_group(
         "fault tolerance",
-        "sweeps are checkpointed: every finished unit is durable in the "
-        "result store and journalled under <store>/journals/, so an "
-        "interrupted sweep picks up where it left off with --resume; a "
+        "every finished unit is durable in the result store, so re-running "
+        "an interrupted sweep simulates only the units still missing; a "
         "workload's pending units fail, time out and retry as one task",
-    )
-    fault_group.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume an interrupted sweep: re-plan the same grid and execute "
-        "only the units missing from the result store",
     )
     fault_group.add_argument(
         "--max-retries",
@@ -790,31 +783,18 @@ def _render_sweep(sweep) -> str:
 def _cmd_sweep(args) -> int:
     from repro.experiments.supervisor import SupervisionPolicy
 
-    if args.resume and (args.no_cache or args.refresh):
-        raise ConfigurationError(
-            "--resume replays the result store; it cannot be combined with "
-            "--no-cache or --refresh"
-        )
+    supervision = SupervisionPolicy(
+        max_retries=args.max_retries,
+        unit_timeout=args.unit_timeout,
+        backoff_base=args.retry_backoff,
+        keep_going=args.keep_going,
+    )
+    supervision.validate()
     ctx = _make_context(args)
-    if ctx.store is None:
-        # --no-cache: nothing durable to checkpoint against, so run the
-        # plain in-memory sweep (failures raise, nothing resumes).
-        sweep = ctx.session.sweep(
-            benchmarks=ctx.benchmarks, policies=ctx.policies
-        )
-        print(_render_sweep(sweep))
-        print(_cache_summary(ctx))
-        return 0
     checkpointed = ctx.session.sweep_checkpointed(
         benchmarks=ctx.benchmarks,
         policies=ctx.policies,
-        supervision=SupervisionPolicy(
-            max_retries=args.max_retries,
-            unit_timeout=args.unit_timeout,
-            backoff_base=args.retry_backoff,
-            keep_going=args.keep_going,
-        ),
-        resume=args.resume,
+        supervision=supervision,
     )
     report = checkpointed.report
     if report.complete:
@@ -837,8 +817,8 @@ def _cmd_sweep(args) -> int:
     reason = "was interrupted" if report.interrupted else "has failed units"
     print(
         f"repro sweep: sweep {reason}: {missing} of {report.total} unit(s) "
-        "missing; completed work is saved — rerun with --resume to finish "
-        f"(journal: {checkpointed.journal_path})",
+        "missing; re-run the same command to finish (units already in the "
+        "result store are not simulated again)",
         file=sys.stderr,
     )
     return 1

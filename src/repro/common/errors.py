@@ -34,9 +34,9 @@ class InjectedFault(ReproError):
 
 
 class SweepInterrupted(ReproError):
-    """A checkpointed sweep stopped mid-flight (injected abort or operator
-    stop).  Completed units are durable in the result store and journal;
-    ``repro sweep --resume`` re-plans only the missing ones."""
+    """A supervised sweep stopped mid-flight (injected abort or operator
+    stop).  Completed points are durable in the result store; running the
+    same ``repro sweep`` again simulates only the missing ones."""
 
 
 class SweepExecutionError(ReproError):

@@ -2,11 +2,12 @@
 
 Recovery paths are only trustworthy if they can be exercised on demand, so
 the execution layer is instrumented with named **failure points**: a call to
-:func:`fire_point` at the top of a sweep work unit, before every result-store
-write, after every completed sweep unit.  A failure point does nothing unless
-a :class:`FaultPlan` arms it — normally via the ``REPRO_FAULTS`` environment
-variable, which both the tests and the CI chaos job use because it crosses
-process boundaries for free (worker processes inherit the environment).
+:func:`fire_point` at the top of a supervised task, once per point, before
+every result-store write, after every completed sweep point.  A failure
+point does nothing unless a :class:`FaultPlan` arms it — normally via the
+``REPRO_FAULTS`` environment variable, which both the tests and the CI
+chaos job use because it crosses process boundaries for free (worker
+processes inherit the environment).
 
 Plan syntax (semicolon-separated directives)::
 
@@ -18,12 +19,13 @@ Plan syntax (semicolon-separated directives)::
     store.write:0=enospc         first store write of a process gets ENOSPC
     sweep.completed:2=abort      interrupt the sweep after 2 completed units
 
-``index`` selects which occurrence of a site fires: the sweep-unit index for
-``sweep.unit``, the per-process write ordinal for ``store.write``/
-``trace.write``, the completed-unit count for ``sweep.completed``.  ``limit``
-bounds the *attempt* numbers that fire (default 1, so a retried unit
-succeeds; ``*`` alone means every attempt).  Everything is deterministic —
-no randomness, no wall-clock — so a chaos run is exactly reproducible.
+``index`` selects which occurrence of a site fires: the point's index in
+the sweep's plan for ``sweep.unit``, the per-process write ordinal for
+``store.write``/``trace.write``, the completed-point count for
+``sweep.completed``.  ``limit`` bounds the *attempt* numbers that fire
+(default 1, so a retried unit succeeds; ``*`` alone means every attempt).
+Everything is deterministic — no randomness, no wall-clock — so a chaos run
+is exactly reproducible.
 
 The kinds:
 
@@ -33,7 +35,8 @@ The kinds:
     ``os._exit(43)`` — the process dies without unwinding, modelling an
     OOM-kill or segfault;
 ``hang``
-    sleep for ``arg`` seconds (default 3600), modelling a wedged worker;
+    sleep for ``arg`` seconds (finite, >= 0; default 3600), modelling a
+    wedged worker;
 ``enospc``
     raise ``OSError(ENOSPC)``, modelling a full disk;
 ``abort``
@@ -48,6 +51,7 @@ cycles; :mod:`repro.testing` re-exports the public names for test code.
 from __future__ import annotations
 
 import errno
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -148,6 +152,10 @@ def _parse_directive(token: str) -> FaultDirective:
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r} (one of {', '.join(KINDS)})")
     arg = float(arg_text) if arg_text else None
+    if kind == "hang" and arg is not None and not (math.isfinite(arg) and arg >= 0):
+        # time.sleep would raise ValueError/OverflowError when the site
+        # fires, far from the directive that caused it.
+        raise ValueError(f"hang needs finite seconds >= 0, got {arg_text!r}")
     return FaultDirective(site=site, index=index, kind=kind, arg=arg, limit=limit)
 
 

@@ -3,7 +3,7 @@
 :func:`run_policy_sweep` runs a (benchmark × policy) grid against the SRRIP
 baseline through :meth:`repro.api.session.Session.sweep`, and
 :class:`PolicySweepResult` holds the grid with speedup, MPKI-reduction and
-geomean accessors over it.  The checkpointed execution of the same grid
+geomean accessors over it.  The supervised execution of the same grid
 behind ``repro sweep`` lives in :mod:`repro.experiments.sweep`.
 """
 
@@ -29,6 +29,16 @@ class PolicySweepResult:
     policies: tuple[str, ...]
     baseline_policy: str
     results: dict[str, dict[str, SimulationResult]] = field(default_factory=dict)
+
+    def add(self, requests: Sequence, runs: Sequence) -> None:
+        """File each run's result under its request's (benchmark, policy)
+        cell, in request order; a ``None`` run (a point that did not
+        finish) leaves its cell missing."""
+        for request, run in zip(requests, runs):
+            if run is not None:
+                self.results.setdefault(request.spec.name, {})[
+                    request.policy.canonical()
+                ] = run.result
 
     # ------------------------------------------------------------- accessors
     def baseline(self, benchmark: str) -> SimulationResult:

@@ -29,8 +29,7 @@ Teardown is unconditional: every exit path (completion, abort, callback
 exception, ``KeyboardInterrupt``) terminates and joins every child before
 returning, so no worker process ever outlives the pool.  Completed results
 remain available on :attr:`SupervisedPool.outcomes` even when the run is
-interrupted, so callers can fold back counters for the work that *did*
-finish.
+interrupted.
 
 Results travel over each worker's **private duplex pipe**, never a shared
 ``multiprocessing.Queue``.  A shared queue serializes every ``put`` through
@@ -44,6 +43,7 @@ which the supervisor already treats as a crash of that worker alone.
 from __future__ import annotations
 
 import heapq
+import math
 import os
 import pickle
 import random
@@ -52,7 +52,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SweepInterrupted
 
 
 def pool_context():
@@ -117,6 +117,11 @@ class SupervisionPolicy:
     seed: int = 0
 
     def validate(self) -> None:
+        # A NaN or infinite setting would reach the deadline and backoff
+        # arithmetic and fail there, mid-run, instead of here.
+        for name, value in vars(self).items():
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
         if self.unit_timeout is not None and self.unit_timeout <= 0:
@@ -162,6 +167,12 @@ class UnitOutcome:
     #: Decoded exception of the final failed attempt, when picklable.
     error: Optional[BaseException] = None
 
+    @property
+    def retried(self) -> bool:
+        """Scheduled for another attempt, whether or not it ran: every
+        failure but a final one scheduled a retry."""
+        return len(self.failures) > (self.status == "failed")
+
 
 @dataclass
 class PoolReport:
@@ -172,6 +183,10 @@ class PoolReport:
     #: True when the pool stopped dispatching early (keep_going=False and a
     #: unit exhausted its retries); remaining outcomes are ``not-run``.
     aborted: bool = False
+    #: True when ``on_result`` stopped the run by raising
+    #: :class:`~repro.common.errors.SweepInterrupted`; outcomes still
+    #: pending then are ``not-run``.
+    interrupted: bool = False
 
     @property
     def done(self) -> list[UnitOutcome]:
@@ -187,8 +202,8 @@ class PoolReport:
 
     @property
     def retried(self) -> list[UnitOutcome]:
-        """Units that needed more than one attempt (whatever the outcome)."""
-        return [o for o in self.outcomes if o.failures]
+        """Units scheduled for another attempt, whether or not it ran."""
+        return [o for o in self.outcomes if o.retried]
 
     def values(self) -> list[Any]:
         """Results in task order; raises if any unit did not complete."""
@@ -280,17 +295,12 @@ class SupervisedPool:
     """Run tasks through supervised worker processes (see module docstring).
 
     ``func(payload, attempt)`` must be a module-level callable; it runs in
-    the worker after ``initializer(*initargs)``.  The optional callbacks run
-    in the parent as events happen:
-
-    * ``on_start(position, attempt, worker_id)``
-    * ``on_result(position, attempt, worker_id, duration, value)``
-    * ``on_retry(position, attempt, worker_id, kind, message, delay)``
-    * ``on_failed(position, attempts, kind, message)``
-
-    A callback exception aborts the run (after full teardown) and
-    propagates — the checkpointed sweep uses this for injected
-    interruptions.
+    the worker after ``initializer(*initargs)``.  The optional
+    ``on_result(position, value)`` runs in the parent as each task
+    completes.  When it raises
+    :class:`~repro.common.errors.SweepInterrupted` the run stops and its
+    report says ``interrupted``; any other exception it raises propagates,
+    after full teardown.
     """
 
     def __init__(
@@ -300,10 +310,7 @@ class SupervisedPool:
         initializer: Optional[Callable] = None,
         initargs: tuple = (),
         policy: Optional[SupervisionPolicy] = None,
-        on_start: Optional[Callable] = None,
         on_result: Optional[Callable] = None,
-        on_retry: Optional[Callable] = None,
-        on_failed: Optional[Callable] = None,
     ):
         self.func = func
         self.workers = max(1, workers)
@@ -311,10 +318,7 @@ class SupervisedPool:
         self.initargs = initargs
         self.policy = policy or SupervisionPolicy()
         self.policy.validate()
-        self.on_start = on_start
         self.on_result = on_result
-        self.on_retry = on_retry
-        self.on_failed = on_failed
         self._ctx = pool_context()
         self._workers: dict[int, _Worker] = {}
         self._next_worker_id = 0
@@ -349,6 +353,8 @@ class SupervisedPool:
         heapq.heapify(pending)
         try:
             self._loop(payloads, pending)
+        except SweepInterrupted:
+            self.report.interrupted = True
         finally:
             self._shutdown()
             for outcome in self.outcomes:
@@ -425,8 +431,6 @@ class SupervisedPool:
                 continue
             worker.running = (position, attempt, now, deadline)
             self.outcomes[position].attempts = attempt
-            if self.on_start is not None:
-                self.on_start(position, attempt, worker.id)
 
     def _wait_time(self, pending, now: float) -> float:
         horizon = []
@@ -490,7 +494,7 @@ class SupervisedPool:
             outcome.value = payload
             outcome.duration = duration
             if self.on_result is not None:
-                self.on_result(position, attempt, worker_id, duration, payload)
+                self.on_result(position, payload)
         else:
             error, message_text = _decode_error(payload)
             self._attempt_failed(
@@ -565,13 +569,9 @@ class SupervisedPool:
             heapq.heappush(
                 pending, (time.monotonic() + delay, position, attempt + 1)
             )
-            if self.on_retry is not None:
-                self.on_retry(position, attempt, worker_id, kind, message, delay)
             return
         outcome.status = "failed"
         outcome.error = error
-        if self.on_failed is not None:
-            self.on_failed(position, attempt, kind, message)
         if not self.policy.keep_going:
             self.report.aborted = True
 

@@ -3,8 +3,10 @@
 The daemon's queue is in memory, so without a journal a ``SIGKILL`` silently
 drops every accepted-but-unfinished job — the client got a 202 and a job id,
 and the work evaporates.  :class:`SubmissionJournal` closes that hole with
-the append-only JSONL discipline shared with the sweep checkpoint log
-(:class:`~repro.common.journal.AppendOnlyJournal`):
+an append-only JSONL log: each event is one JSON object per line, flushed
+and fsynced, so a crashed daemon (SIGKILL included) leaves at most one torn
+final line, and replay skips a torn or otherwise undecodable line, because
+an event that never hit the disk whole never happened.
 
 * at **admission** (inside the manager lock, before the job is enqueued or
   registered) an ``accepted`` line records the job id, job key, and the
@@ -28,10 +30,11 @@ not the journal's.
 
 from __future__ import annotations
 
+import json
+import os
 from pathlib import Path
 
 from repro.common.faults import fire_point
-from repro.common.journal import AppendOnlyJournal
 
 #: Subdirectory of the store root holding per-replica serve journals.
 SERVE_DIR = "serve"
@@ -40,8 +43,18 @@ SERVE_DIR = "serve"
 TERMINAL_EVENTS = ("done", "failed", "skipped")
 
 
-class SubmissionJournal(AppendOnlyJournal):
-    """Crash-durable record of accepted submissions (see module docstring)."""
+class SubmissionJournal:
+    """Crash-durable record of accepted submissions (see module docstring).
+
+    The write handle opens lazily on the first :meth:`record` and stays
+    open until :meth:`close`; replay reads are independent of the handle,
+    so a restarted daemon can replay a journal another process still
+    writes.
+    """
+
+    def __init__(self, path: Path | str):
+        self.path = Path(path)
+        self._handle = None
 
     @classmethod
     def for_store(
@@ -59,7 +72,36 @@ class SubmissionJournal(AppendOnlyJournal):
         accepted-and-unjournaled job.
         """
         fire_point("serve.journal")
-        super().record(event, **fields)
+        if self._handle is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._handle = open(self.path, "a", encoding="utf-8")
+        self._handle.write(json.dumps({"event": event, **fields}) + "\n")
+        self._handle.flush()
+        os.fsync(self._handle.fileno())
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+    def replay(self) -> list[dict]:
+        """Every intact event line, oldest first (a torn tail is skipped)."""
+        try:
+            text = self.path.read_text(encoding="utf-8")
+        except OSError:
+            return []
+        events = []
+        for line in text.splitlines():
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                entry = json.loads(line)
+            except ValueError:
+                continue  # torn write mid-line: the event never happened
+            if isinstance(entry, dict) and "event" in entry:
+                events.append(entry)
+        return events
 
     def pending(self) -> list[dict]:
         """Accepted events with no terminal record, oldest first.

@@ -205,7 +205,8 @@ class TestRun:
         monkeypatch.setattr(
             SupervisedPool,
             "run",
-            lambda pool, tasks: pools.append(pool.workers) or start(pool, tasks),
+            lambda pool, tasks, **kw: pools.append(pool.workers)
+            or start(pool, tasks, **kw),
         )
         summaries = {}
         for label, jobs in (("pooled", []), ("in-process", ["--jobs", "1"])):
@@ -399,7 +400,6 @@ UNUSED_ON_STARTUP = (
     "repro.workloads.tracegen",
     "repro.experiments.sweep",
     "repro.experiments.supervisor",
-    "repro.common.journal",
     "repro.client",
     "http.client",
     "sqlite3",

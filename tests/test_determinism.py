@@ -156,7 +156,8 @@ class TestParallelSweepDeterminism:
         monkeypatch.setattr(
             SupervisedPool,
             "run",
-            lambda pool, tasks: pools.append(len(tasks)) or start(pool, tasks),
+            lambda pool, tasks, **kw: pools.append(len(tasks))
+            or start(pool, tasks, **kw),
         )
         runs = {}
         for jobs in (1, 2):

@@ -4,25 +4,28 @@ Every recovery path the fault-tolerance layer promises is exercised here
 deterministically through the ``REPRO_FAULTS`` knob (see
 :mod:`repro.common.faults`): worker exceptions, worker kills, hangs killed
 by the unit timeout, torn store entries, ENOSPC on write, and mid-sweep
-interruption followed by ``repro sweep --resume``.
+interruption followed by a plain re-run of the same ``repro sweep``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli.main import main
 from repro.common.errors import ConfigurationError, InjectedFault
+from repro.common.faults import KINDS
 from repro.experiments.supervisor import (
     PoolReport,
     SupervisedPool,
     SupervisionPolicy,
 )
-from repro.experiments.sweep import SweepJournal, build_manifest
 from repro.sim.config import SimulatorConfig
 from repro.testing import (
     KILL_EXIT_CODE,
@@ -46,6 +49,27 @@ def _isolated_fault_state(monkeypatch):
 
 
 # ================================================================= the knob
+#: Plan text: arbitrary strings, and directives for real sites and kinds
+#: whose arguments include non-finite and negative numbers.
+_arguments = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "-5", "-0.0", "0", "2.5", ""]),
+    st.floats().map(repr),
+    st.text(max_size=4),
+)
+_directives = st.builds(
+    "{}:{}={}{}{}".format,
+    st.sampled_from(["sweep.unit", "sweep.completed", "store.write"]),
+    st.integers(-2, 5),
+    st.sampled_from(KINDS),
+    st.one_of(st.just(""), _arguments.map(":".__add__)),
+    st.sampled_from(["", "*", "*1", "*-1"]),
+)
+_plans = st.one_of(
+    st.text(),
+    st.lists(st.one_of(_directives, st.text(max_size=8)), max_size=3).map(";".join),
+)
+
+
 class TestFaultPlan:
     def test_parse_directives(self):
         plan = FaultPlan.parse(
@@ -73,11 +97,25 @@ class TestFaultPlan:
             "sweep.unit=raise",  # missing index
             "sweep.unit:x=raise",  # non-integer index
             "sweep.unit:0=frobnicate",  # unknown kind
+            "sweep.unit:0=hang:nan",  # sleeps that cannot happen
+            "sweep.unit:0=hang:-5",
+            "sweep.unit:0=hang:inf",
         ],
     )
     def test_bad_directives_are_configuration_errors(self, text):
         with pytest.raises(ConfigurationError, match="REPRO_FAULTS"):
             FaultPlan.parse(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_plans)
+    def test_any_text_parses_or_is_a_configuration_error(self, text):
+        try:
+            plan = FaultPlan.parse(text)
+        except ConfigurationError:
+            return
+        for directive in plan.directives:
+            if directive.kind == "hang" and directive.arg is not None:
+                assert math.isfinite(directive.arg) and directive.arg >= 0
 
 
 class TestFirePoint:
@@ -233,6 +271,7 @@ class TestSupervisedPool:
         assert report.aborted
         assert report.outcomes[0].status == "failed"
         assert any(o.status == "not-run" for o in report.outcomes[1:])
+        assert report.retried == []  # a final failure schedules no retry
 
     def test_raise_on_failure_reraises_the_original_exception(self):
         policy = SupervisionPolicy(max_retries=0, keep_going=True, **_FAST)
@@ -259,57 +298,37 @@ class TestSupervisedPool:
         assert policy.backoff(0, 1) != policy.backoff(1, 1)
 
     def test_policy_validation(self):
-        with pytest.raises(ConfigurationError):
-            SupervisionPolicy(max_retries=-1).validate()
-        with pytest.raises(ConfigurationError):
-            SupervisionPolicy(unit_timeout=0).validate()
-
-
-# ================================================================== journal
-class TestSweepJournal:
-    def test_record_and_replay_round_trip(self, tmp_path):
-        journal = SweepJournal(tmp_path / "journals" / "m.jsonl")
-        journal.record("begin", manifest="m", total=2)
-        journal.record("done", unit=0, key="k0", attempt=1, worker=0, duration=0.5)
-        journal.record("done", unit=1, key="k1", attempt=2, worker=1, duration=0.1)
-        journal.close()
-        events = journal.replay()
-        assert [event["event"] for event in events] == ["begin", "done", "done"]
-        assert journal.done_units() == {0, 1}
-
-    def test_torn_final_line_is_skipped(self, tmp_path):
-        journal = SweepJournal(tmp_path / "m.jsonl")
-        journal.record("begin", total=1)
-        journal.record("done", unit=0)
-        journal.close()
-        with open(journal.path, "a", encoding="utf-8") as handle:
-            handle.write('{"event": "done", "unit"')  # crash mid-write
-        assert [event["event"] for event in journal.replay()] == ["begin", "done"]
-        assert journal.done_units() == {0}
-
-    def test_missing_journal_replays_empty(self, tmp_path):
-        journal = SweepJournal(tmp_path / "absent.jsonl")
-        assert journal.replay() == []
-        assert not journal.exists()
+        for knobs in (
+            {"max_retries": -1},
+            {"unit_timeout": 0},
+            {"unit_timeout": math.nan},
+            {"unit_timeout": math.inf},
+            {"backoff_base": math.nan},
+            {"backoff_factor": math.inf},
+            {"backoff_max": -math.inf},
+            {"backoff_jitter": math.nan},
+        ):
+            with pytest.raises(ConfigurationError):
+                SupervisionPolicy(**knobs).validate()
 
 
 class TestManifest:
-    def test_units_are_benchmark_major_baseline_first(self):
-        manifest = build_manifest(
-            [tiny_spec()], ["lru", "trrip-1"], config=SimulatorConfig.scaled()
-        )
-        assert manifest.policies == ("srrip", "lru", "trrip-1")
-        assert [unit.index for unit in manifest.units] == [0, 1, 2]
-        assert {unit.benchmark for unit in manifest.units} == {"tinybench"}
-        assert len({unit.key for unit in manifest.units}) == 3
+    """The sweep's manifest: its grid of points, in the order the
+    ``sweep.unit`` fault site indexes them."""
 
-    def test_manifest_key_pins_the_exact_grid(self):
+    def test_units_are_benchmark_major_baseline_first(self):
         config = SimulatorConfig.scaled()
-        one = build_manifest([tiny_spec()], ["lru"], config=config)
-        same = build_manifest([tiny_spec()], ["lru"], config=config)
-        other = build_manifest([tiny_spec()], ["trrip-1"], config=config)
-        assert one.key == same.key
-        assert one.key != other.key
+        sweep, requests = make_session(config)._grid(
+            [tiny_spec(), "zipf:alpha=1.2"], ["lru", "trrip-1"], "srrip", config
+        )
+        assert sweep.benchmarks == ("tinybench", "zipf:alpha=1.2")
+        assert [request.spec.name for request in requests] == (
+            ["tinybench"] * 3 + ["zipf:alpha=1.2"] * 3
+        )
+        assert [request.policy.canonical() for request in requests] == (
+            ["srrip", "lru", "trrip-1"] * 2
+        )
+        assert len({request.store_key() for request in requests}) == 6
 
 
 # ============================================================ CLI chaos runs
@@ -355,19 +374,18 @@ class TestResumeSemantics:
         monkeypatch.setenv(REPRO_FAULTS_ENV, "sweep.completed:3=abort")
         assert main(_sweep_args(tmp_path, "chaos", grid=GRID)) == 1
         captured = capsys.readouterr()
-        # Diagnostics (summary, cache counters, resume hint) all go to
+        # Diagnostics (summary, cache counters, re-run hint) all go to
         # stderr; stdout stays clean for machine-readable output.
         assert captured.out == ""
         assert "[interrupted]" in captured.err
-        assert "--resume" in captured.err
+        assert "re-run the same command" in captured.err
         assert len(_store_bytes(tmp_path, "chaos")) == 3  # durable progress
 
-        # Resume executes exactly the missing units: M - N simulations.
+        # The re-run executes exactly the missing units: M - N simulations.
         monkeypatch.delenv(REPRO_FAULTS_ENV)
-        assert main(_sweep_args(tmp_path, "chaos", "--resume", grid=GRID)) == 0
+        assert main(_sweep_args(tmp_path, "chaos", grid=GRID)) == 0
         resumed_out = capsys.readouterr().out
         assert "# 3 simulation(s) run, 3 served from cache" in resumed_out
-        assert "3 resumed" in resumed_out
 
         # Store entries are byte-identical to the uninterrupted run's.
         assert _store_bytes(tmp_path, "chaos") == _store_bytes(tmp_path, "clean")
@@ -393,34 +411,22 @@ class TestResumeSemantics:
         out = capsys.readouterr().out
         assert "3 retried" in out
         assert "0 failed" in out
-        journal = next((tmp_path / "kill" / "store" / "journals").glob("*.jsonl"))
-        events = [json.loads(line) for line in journal.read_text().splitlines()]
-        retries = [event for event in events if event["event"] == "retry"]
-        assert [event["unit"] for event in retries] == [0, 1, 2]
-        assert {event["kind"] for event in retries} == {"crash"}
 
     def test_corrupted_entry_is_requarried_on_resume(
         self, tmp_path, monkeypatch, capsys
     ):
-        """A journal-done unit whose store entry got damaged re-executes."""
+        """A finished unit whose store entry got damaged re-executes on the
+        re-run; the intact ones never go to a worker."""
         assert main(_sweep_args(tmp_path, "torn")) == 0
         capsys.readouterr()
         entry = sorted((tmp_path / "torn" / "store" / "runs").rglob("*.json"))[0]
         corrupt_file(entry)
-        assert main(_sweep_args(tmp_path, "torn", "--resume")) == 0
+        assert main(_sweep_args(tmp_path, "torn")) == 0
         out = capsys.readouterr().out
+        assert "1 attempted, 1 succeeded, 2 cached" in out
         assert "# 1 simulation(s) run, 2 served from cache" in out
         assert "1 corrupt entry quarantined" in out
         assert entry.with_suffix(".corrupt").exists()
-
-    def test_resume_without_a_journal_is_an_error(self, tmp_path, capsys):
-        assert main(_sweep_args(tmp_path, "fresh", "--resume")) == 1
-        assert "nothing to resume" in capsys.readouterr().err
-
-    def test_resume_conflicts_with_no_cache_and_refresh(self, tmp_path, capsys):
-        for flag in ("--no-cache", "--refresh"):
-            assert main(_sweep_args(tmp_path, "conflict", "--resume", flag)) == 1
-            assert "--resume" in capsys.readouterr().err
 
 
 class TestDegradedSweeps:
@@ -440,10 +446,6 @@ class TestDegradedSweeps:
         assert main(args) == 0
         assert time.monotonic() - started < 20
         assert "3 retried" in capsys.readouterr().out
-        journal = next((tmp_path / "hang" / "store" / "journals").glob("*.jsonl"))
-        events = [json.loads(line) for line in journal.read_text().splitlines()]
-        kinds = [event["kind"] for event in events if event["event"] == "retry"]
-        assert kinds == ["timeout"] * 3
 
     def test_exhausted_retries_keep_going_partial_failure(
         self, tmp_path, monkeypatch, capsys
@@ -471,9 +473,9 @@ class TestDegradedSweeps:
         assert "injected failure at sweep.unit:1" in captured.err
         assert len(_store_bytes(tmp_path, "partial")) == 3  # the others landed
 
-        # With the fault disarmed, --resume completes just the failed task.
+        # With the fault disarmed, a re-run completes just the failed task.
         monkeypatch.delenv(REPRO_FAULTS_ENV)
-        assert main(_sweep_args(tmp_path, "partial", "--resume", grid=GRID)) == 0
+        assert main(_sweep_args(tmp_path, "partial", grid=GRID)) == 0
         assert "# 3 simulation(s) run" in capsys.readouterr().out
 
     def test_retry_queued_at_an_interrupt_counts_as_retried_and_not_run(
@@ -505,8 +507,43 @@ class TestDegradedSweeps:
         assert main(args) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "3 failed" in captured.err
+        assert "0 retried, 3 failed" in captured.err
         assert "3 not run" in captured.err
+
+    def test_storeless_sweep_retries_and_prints_the_stored_views(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Workers return their results over their pipes, so a sweep without
+        # a store is supervised too: the killed task is retried, and the
+        # views equal a stored sweep's.
+        assert main(_sweep_args(tmp_path, "stored", grid=GRID)) == 0
+        stored = capsys.readouterr().out
+        monkeypatch.setenv(REPRO_FAULTS_ENV, "sweep.unit:1=kill")
+        assert main(GRID + ["--no-cache", "--retry-backoff", "0.01"]) == 0
+        out = capsys.readouterr().out
+        assert "6 attempted, 6 succeeded, 0 cached, 3 retried, 0 failed" in out
+        assert "# 6 simulation(s) run, cache disabled" in out
+        assert out.split("# sweep units")[0] == stored.split("# sweep units")[0]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--unit-timeout", "nan"],
+            ["--unit-timeout", "inf"],
+            ["--retry-backoff", "nan"],
+            ["--retry-backoff", "inf"],
+            ["--max-retries", "-3", "--unit-timeout", "nan"],
+        ],
+    )
+    def test_unusable_supervision_flags_are_rejected(self, tmp_path, capsys, flags):
+        # Rejected before the sweep starts, even when the store holds every
+        # unit and no pool would start.
+        assert main(_sweep_args(tmp_path, "stored")) == 0
+        capsys.readouterr()
+        assert main(_sweep_args(tmp_path, "stored", *flags)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be" in captured.err
 
 
 class TestSessionFaults:
@@ -539,11 +576,6 @@ class TestSessionFaults:
         assert capture.exists()  # recaptured into a clean slot
         assert session.traces.corrupt == 1
 
-    def test_checkpointed_sweep_requires_a_store(self):
-        session = make_session()  # no store
-        with pytest.raises(ConfigurationError, match="store"):
-            session.sweep_checkpointed(benchmarks=[tiny_spec()], policies=["lru"])
-
     def test_raise_on_failure_for_programmatic_callers(
         self, tmp_path, monkeypatch
     ):
@@ -564,7 +596,7 @@ class TestSessionFaults:
         # A complete sweep's raise_on_failure is a no-op.
         monkeypatch.delenv(REPRO_FAULTS_ENV)
         resumed = session.sweep_checkpointed(
-            benchmarks=[tiny_spec()], policies=["lru"], resume=True
+            benchmarks=[tiny_spec()], policies=["lru"]
         )
         resumed.raise_on_failure()
         assert resumed.report.complete
