@@ -235,6 +235,10 @@ class Session:
         """
         from repro.experiments.runner import RunArtifacts
 
+        if supervision is not None:
+            # Before any work: a fully stored plan never reaches the pool,
+            # which would otherwise be the first to check the policy.
+            supervision.validate()
         jobs = self.jobs if jobs is None else jobs
         units = self._units(requests)
         runs: list = [None] * len(requests)

@@ -187,7 +187,7 @@ class CacheHierarchy:
         #: *demand* access that reaches the L2 (i.e. every L1 miss).  Used by
         #: the reuse-distance analysis (Figure 3) without perturbing timing.
         #: Observers must read the request during the callback and not retain
-        #: it (lane-path requests are reused scratch objects).
+        #: it (the replay lane's data requests are reused scratch objects).
         self.l2_access_observer = None
         self._prefetch_scratch = ScratchRequest()
         self._prefetch_scratch.is_prefetch = True
@@ -215,15 +215,16 @@ class CacheHierarchy:
         self.l1i_observe = self._active_observe(self.l1i_prefetcher)
         self.l1d_observe = self._active_observe(self.l1d_prefetcher)
         self.l2_observe = self._active_observe(self.l2_prefetcher)
-        #: The hot paths as closures over the (identity-stable) caches built
-        #: above; see _make_walk/_make_instruction_line/_make_data_line.  The
-        #: seed baseline replaces the caches after construction but never
-        #: uses these paths — it overrides the whole access path.
+        #: The below-L1 walk and the prefetch issue as closures over the
+        #: (identity-stable) caches built above: the record path's
+        #: :meth:`_access` and the replay lane (:func:`repro.cpu.core.run_lanes`)
+        #: enter the hierarchy through them.  The seed baseline replaces the
+        #: caches after construction but never uses these paths — it
+        #: overrides the whole access path.
         shared.register(core_id, self)
-        self._walk_below_l1 = self._make_walk()
+        self._walk_below_l1i = self._make_walk(self.l1i)
+        self._walk_below_l1d = self._make_walk(self.l1d)
         self._issue_targets = self._make_issue_targets()
-        self.access_instruction_line = self._make_instruction_line()
-        self.access_data_line = self._make_data_line()
 
     @staticmethod
     def _active_observe(prefetcher: Prefetcher):
@@ -271,140 +272,6 @@ class CacheHierarchy:
             cache.stats.reset()
         self.stats.reset()
 
-    # ------------------------------------------------------------ lane paths
-    def _make_instruction_line(self):
-        """Build the lane's demand instruction-fetch path as a closure.
-
-        ``access_instruction_line(request, line_no, targets)`` returns
-        ``(latency, l2_miss)``.  The replay lane has already translated the
-        fetch (``line_no`` is the physical line number) and trained the
-        prefetchers on it: ``targets`` are the L1-I prefetcher's targets
-        followed by the L2 prefetcher's, falsy when neither issues.  L1-I
-        hits — the overwhelmingly common case on repeat fetches of a resident
-        line — skip the full hierarchy walk and the :class:`AccessResult`
-        allocation.  Every cache state and statistics update is that of
-        :meth:`access_instruction` on the same request, in the same order;
-        only the prefetchers' training moved out to the lane.
-        """
-        stats = self.stats
-        l1 = self.l1i
-        l1_stats = l1.stats
-        l1_map = l1._line_map
-        l1_set_mask = l1._set_mask
-        touch_kind = l1._touch_kind
-        touch_rows = l1._touch_rows
-        touch_arg = l1._touch_arg
-        policy_touch = l1._policy_touch
-        on_hit = l1.policy.on_hit
-        lat_l1i = self._lat_l1i
-        walk = self._walk_below_l1
-        issue_targets = self._issue_targets
-
-        def access_instruction_line(
-            request: MemoryRequest, line_no: int, targets
-        ) -> tuple[int, bool]:
-            stats.instruction_fetches += 1
-            # Inlined L1-I demand hit (mirrors access_line for an ifetch).
-            way = l1_map.get(line_no)
-            if way is not None:
-                l1_stats.inst_hits += 1
-                set_index = line_no & l1_set_mask
-                if touch_kind == 2:
-                    clock = touch_arg[0] + 1
-                    touch_arg[0] = clock
-                    touch_rows[set_index][way] = clock
-                elif touch_kind == 1:
-                    touch_rows[set_index][way] = touch_arg
-                elif touch_kind == 0:
-                    if policy_touch is not None:
-                        policy_touch(set_index, way)
-                    else:
-                        on_hit(set_index, way, request)
-                stats.total_latency += lat_l1i
-                if targets:
-                    issue_targets(request, l1, targets)
-                return lat_l1i, False
-            l1_stats.inst_misses += 1
-            latency, level = walk(request, l1, None, line_no)
-            # Inlined _account for a demand instruction L1 miss.
-            l2_miss = level >= 3
-            if l2_miss:
-                stats.l2_inst_misses += 1
-            stats.total_latency += latency
-            stats.l1i_misses += 1
-            if level == 4:
-                stats.slc_misses += 1
-                stats.dram_accesses += 1
-            if targets:
-                issue_targets(request, l1, targets)
-            return latency, l2_miss
-
-        return access_instruction_line
-
-    def _make_data_line(self):
-        """Build the lane's demand data-access path as a closure.
-
-        ``access_data_line(request, line_no, targets)`` returns the access
-        latency; arguments and state updates are as for
-        :meth:`_make_instruction_line`, on the L1-D and against
-        :meth:`access_data`.
-        """
-        stats = self.stats
-        l1 = self.l1d
-        l1_stats = l1.stats
-        l1_map = l1._line_map
-        l1_set_mask = l1._set_mask
-        l1_ways = l1.associativity
-        l1_dirty = l1._dirty
-        touch_kind = l1._touch_kind
-        touch_rows = l1._touch_rows
-        touch_arg = l1._touch_arg
-        policy_touch = l1._policy_touch
-        on_hit = l1.policy.on_hit
-        lat_l1d = self._lat_l1d
-        walk = self._walk_below_l1
-        issue_targets = self._issue_targets
-
-        def access_data_line(request: MemoryRequest, line_no: int, targets) -> int:
-            stats.data_accesses += 1
-            # Inlined L1-D demand hit (mirrors access_line for a data access).
-            way = l1_map.get(line_no)
-            if way is not None:
-                l1_stats.data_hits += 1
-                set_index = line_no & l1_set_mask
-                if request.access_type is _STORE:
-                    l1_dirty[set_index * l1_ways + way] = 1
-                if touch_kind == 2:
-                    clock = touch_arg[0] + 1
-                    touch_arg[0] = clock
-                    touch_rows[set_index][way] = clock
-                elif touch_kind == 1:
-                    touch_rows[set_index][way] = touch_arg
-                elif touch_kind == 0:
-                    if policy_touch is not None:
-                        policy_touch(set_index, way)
-                    else:
-                        on_hit(set_index, way, request)
-                stats.total_latency += lat_l1d
-                if targets:
-                    issue_targets(request, l1, targets)
-                return lat_l1d
-            l1_stats.data_misses += 1
-            latency, level = walk(request, l1, None, line_no)
-            # Inlined _account for a demand data L1 miss.
-            stats.total_latency += latency
-            stats.l1d_misses += 1
-            if level >= 3:
-                stats.l2_data_misses += 1
-                if level == 4:
-                    stats.slc_misses += 1
-                    stats.dram_accesses += 1
-            if targets:
-                issue_targets(request, l1, targets)
-            return latency
-
-        return access_data_line
-
     # -------------------------------------------------------------- internals
     def _access(
         self,
@@ -432,7 +299,8 @@ class CacheHierarchy:
             self._account(request, latency, 1, True, demand)
         else:
             evicted: list[int] = []
-            latency, level = self._walk_below_l1(request, l1, evicted, line_no)
+            walk = self._walk_below_l1i if l1 is self.l1i else self._walk_below_l1d
+            latency, level = walk(request, evicted, line_no)
             result = AccessResult(
                 request=request,
                 hit_level=HitLevel(level),
@@ -485,28 +353,30 @@ class CacheHierarchy:
                 stats.slc_misses += 1
                 stats.dram_accesses += 1
 
-    def _make_walk(self):
-        """Build the below-L1 walk as a closure over stable hierarchy state.
+    def _make_walk(self, l1: SetAssociativeCache):
+        """Build the walk below ``l1`` as a closure over stable hierarchy state.
 
-        The walk continues after an L1 miss has already been recorded and
-        returns ``(latency, level)`` with ``level`` the integer
-        :class:`~repro.common.request.HitLevel` that serviced the access.
-        ``line_no`` is the request's physical line number.  ``evicted``
-        collects the addresses of lines evicted by the fills when a list is
-        supplied (the record path exposes them through
-        ``AccessResult.evicted_lines``; the lane paths pass ``None``).
+        ``walk(request, evicted, line_no)`` continues after an L1 miss has
+        already been recorded and returns ``(latency, level)`` with
+        ``level`` the integer :class:`~repro.common.request.HitLevel` that
+        serviced the access.  ``line_no`` is the request's physical line
+        number.  ``evicted`` collects the addresses of lines evicted by the
+        fills when a list is supplied (the record path exposes them through
+        ``AccessResult.evicted_lines``; the replay lane passes ``None``).
 
         The L2 and SLC lookups are inlined copies of
-        :meth:`SetAssociativeCache.access_line`, and the L2 victim handling
+        :meth:`SetAssociativeCache.access_line`, the L2 victim handling
         (ownership, back-invalidation, exclusive-SLC victim fill) is inlined
-        as well — statistics, dirty-bit and replacement-hook updates happen
-        in exactly the order of the historical per-level ``access``/``fill``
-        calls.  At each L2 fill the owner map records this core as the
-        filler, and an evicted line owned by *another* core bumps the
-        inter-core eviction counters; back-invalidation consults every
-        registered core's L1s.  Every captured object is identity-stable for
-        the hierarchy lifetime (caches reset in place); the one dynamic
-        attribute, ``l2_access_observer``, is read through ``self`` per call.
+        as well, and so is the L1 fill of a full set under a fused LRU
+        replacement (every shipped L1) — statistics, dirty-bit and
+        replacement-hook updates happen in exactly the order of the
+        historical per-level ``access``/``fill`` calls.  At each L2 fill the
+        owner map records this core as the filler, and an evicted line owned
+        by *another* core bumps the inter-core eviction counters;
+        back-invalidation consults every registered core's L1s.  Every
+        captured object is identity-stable for the hierarchy lifetime
+        (caches reset in place); the one dynamic attribute,
+        ``l2_access_observer``, is read through ``self`` per call.
         """
         hier = self
         shared = self.shared
@@ -515,6 +385,16 @@ class CacheHierarchy:
         inter_core = shared.inter_core_evictions
         caused = shared.evictions_caused
         l1_registry = shared._l1_registry
+        l1_map = l1._line_map
+        l1_fill = l1._fill_scalars
+        l1_lines, l1_dirty, l1_instr, l1_temps, l1_pcs = l1._columns
+        l1_counts = l1._valid_counts
+        l1_stats = l1.stats
+        l1_ways = l1.associativity
+        l1_set_mask = l1._set_mask
+        l1_lru = l1._replace_kind == 1
+        l1_stamps = l1._replace_rows
+        l1_clock = l1._replace_a
         l2 = self.l2
         slc = self.slc
         l2_map = l2._line_map
@@ -553,7 +433,6 @@ class CacheHierarchy:
 
         def walk(
             request: MemoryRequest,
-            l1: SetAssociativeCache,
             evicted: Optional[list[int]],
             line_no: int,
         ) -> tuple[int, int]:
@@ -564,7 +443,6 @@ class CacheHierarchy:
             observer = hier.l2_access_observer
             # Scalar request fields, extracted once and shared by every
             # level's fill (see SetAssociativeCache._fill_scalars).
-            l1_fill = l1._fill_scalars
             dirty_new = 1 if access_type is _STORE else 0
             instr_new = 1 if is_ifetch else 0
             temperature = request.temperature
@@ -595,54 +473,54 @@ class CacheHierarchy:
                         l2_on_hit(set_index, way, request)
                 if observer is not None and not is_prefetch:
                     observer(request, True)
-                if evicted is None:
-                    l1_fill(
-                        line_no, 0, False, dirty_new, instr_new,
-                        temperature, pc, is_prefetch, request,
-                    )
-                else:
-                    victim = l1_fill(
-                        line_no, 1, False, dirty_new, instr_new,
-                        temperature, pc, is_prefetch, request,
-                    )
-                    if victim is not None:
-                        evicted.append(victim[0] << line_shift)
-                return latency, 2
-            if is_prefetch:
-                l2_stats.prefetch_misses += 1
-            elif is_ifetch:
-                l2_stats.inst_misses += 1
+                level = 2
             else:
-                l2_stats.data_misses += 1
-            if observer is not None and not is_prefetch:
-                observer(request, False)
-
-            # SLC lookup.
-            way = slc_map.get(line_no)
-            if way is not None:
                 if is_prefetch:
-                    slc_stats.prefetch_hits += 1
+                    l2_stats.prefetch_misses += 1
                 elif is_ifetch:
-                    slc_stats.inst_hits += 1
+                    l2_stats.inst_misses += 1
                 else:
-                    slc_stats.data_hits += 1
-                set_index = line_no & slc_set_mask
-                if access_type is _STORE:
-                    slc_dirty[set_index * slc_ways + way] = 1
-                if slc_touch_kind == 2:
-                    clock = slc_touch_arg[0] + 1
-                    slc_touch_arg[0] = clock
-                    slc_touch_rows[set_index][way] = clock
-                elif slc_touch_kind == 1:
-                    slc_touch_rows[set_index][way] = slc_touch_arg
-                elif slc_touch_kind == 0:
-                    if slc_policy_touch is not None:
-                        slc_policy_touch(set_index, way)
+                    l2_stats.data_misses += 1
+                if observer is not None and not is_prefetch:
+                    observer(request, False)
+
+                # SLC lookup, else DRAM.
+                way = slc_map.get(line_no)
+                if way is not None:
+                    if is_prefetch:
+                        slc_stats.prefetch_hits += 1
+                    elif is_ifetch:
+                        slc_stats.inst_hits += 1
                     else:
-                        slc_on_hit(set_index, way, request)
-                latency += lat_slc
-                if slc_exclusive:
-                    slc_invalidate(line_no)
+                        slc_stats.data_hits += 1
+                    set_index = line_no & slc_set_mask
+                    if access_type is _STORE:
+                        slc_dirty[set_index * slc_ways + way] = 1
+                    if slc_touch_kind == 2:
+                        clock = slc_touch_arg[0] + 1
+                        slc_touch_arg[0] = clock
+                        slc_touch_rows[set_index][way] = clock
+                    elif slc_touch_kind == 1:
+                        slc_touch_rows[set_index][way] = slc_touch_arg
+                    elif slc_touch_kind == 0:
+                        if slc_policy_touch is not None:
+                            slc_policy_touch(set_index, way)
+                        else:
+                            slc_on_hit(set_index, way, request)
+                    latency += lat_slc
+                    if slc_exclusive:
+                        slc_invalidate(line_no)
+                    level = 3
+                else:
+                    if is_prefetch:
+                        slc_stats.prefetch_misses += 1
+                    elif is_ifetch:
+                        slc_stats.inst_misses += 1
+                    else:
+                        slc_stats.data_misses += 1
+                    latency += lat_slc_dram
+                    level = 4
+
                 victim = l2_fill(
                     line_no, 1, False, dirty_new, instr_new,
                     temperature, pc, is_prefetch, request,
@@ -671,62 +549,38 @@ class CacheHierarchy:
                             1 if victim_instr else 0,
                             temp_none, victim_pc, True, scratch,
                         )
-                if evicted is None:
-                    l1_fill(
+                if level == 4 and not slc_exclusive:
+                    slc_fill(
                         line_no, 0, False, dirty_new, instr_new,
                         temperature, pc, is_prefetch, request,
                     )
-                else:
-                    victim = l1_fill(
-                        line_no, 1, False, dirty_new, instr_new,
-                        temperature, pc, is_prefetch, request,
-                    )
-                    if victim is not None:
-                        evicted.append(victim[0] << line_shift)
-                return latency, 3
-            if is_prefetch:
-                slc_stats.prefetch_misses += 1
-            elif is_ifetch:
-                slc_stats.inst_misses += 1
-            else:
-                slc_stats.data_misses += 1
 
-            # DRAM.
-            latency += lat_slc_dram
-            victim = l2_fill(
-                line_no, 1, False, dirty_new, instr_new,
-                temperature, pc, is_prefetch, request,
-            )
-            owners[line_no] = core_id
-            if victim is not None:
-                victim_line, victim_instr, victim_pc = victim
-                owner = owners.pop(victim_line, core_id)
-                if owner != core_id:
-                    inter_core[owner] += 1
-                    caused[core_id] += 1
+            # L1 fill: the line just missed the L1, so no resident refresh.
+            set_index = line_no & l1_set_mask
+            if l1_lru and l1_counts[set_index] == l1_ways:
+                stamps = l1_stamps[set_index]
+                way = stamps.index(min(stamps))
+                clock = l1_clock[0] + 1
+                l1_clock[0] = clock
+                stamps[way] = clock
+                slot = set_index * l1_ways + way
+                victim_line = l1_lines[slot]
+                del l1_map[victim_line]
+                l1_stats.evictions += 1
+                if l1_dirty[slot]:
+                    l1_stats.writebacks += 1
+                l1_lines[slot] = line_no
+                l1_dirty[slot] = dirty_new
+                l1_instr[slot] = instr_new
+                l1_temps[slot] = temperature
+                l1_pcs[slot] = pc
+                l1_map[line_no] = way
+                l1_stats.fills += 1
+                if is_prefetch:
+                    l1_stats.prefetch_fills += 1
                 if evicted is not None:
                     evicted.append(victim_line << line_shift)
-                if l2_inclusive:
-                    for l1i_map, l1d_map, l1i_inv, l1d_inv in l1_registry:
-                        if victim_line in l1i_map:
-                            l1i_inv(victim_line)
-                        if victim_line in l1d_map:
-                            l1d_inv(victim_line)
-                if slc_exclusive:
-                    scratch.address = victim_line << line_shift
-                    scratch.access_type = _IFETCH if victim_instr else _LOAD
-                    scratch.pc = victim_pc
-                    slc_fill(
-                        victim_line, 0, False, 0,
-                        1 if victim_instr else 0,
-                        temp_none, victim_pc, True, scratch,
-                    )
-            if not slc_exclusive:
-                slc_fill(
-                    line_no, 0, False, dirty_new, instr_new,
-                    temperature, pc, is_prefetch, request,
-                )
-            if evicted is None:
+            elif evicted is None:
                 l1_fill(
                     line_no, 0, False, dirty_new, instr_new,
                     temperature, pc, is_prefetch, request,
@@ -738,7 +592,7 @@ class CacheHierarchy:
                 )
                 if victim is not None:
                     evicted.append(victim[0] << line_shift)
-            return latency, 4
+            return latency, level
 
         return walk
 
@@ -784,7 +638,9 @@ class CacheHierarchy:
         """
         scratch = self._prefetch_scratch
         stats = self.stats
-        walk = self._walk_below_l1
+        l1i = self.l1i
+        walk_l1i = self._walk_below_l1i
+        walk_l1d = self._walk_below_l1d
         line_shift = self._line_shift
 
         def issue_targets(request, l1: SetAssociativeCache, targets) -> None:
@@ -793,6 +649,7 @@ class CacheHierarchy:
             scratch.temperature = request.temperature
             scratch.starvation_hint = request.starvation_hint
             l1_map = l1._line_map
+            walk = walk_l1i if l1 is l1i else walk_l1d
             for address in targets:
                 stats.prefetches_issued += 1
                 scratch.address = address
@@ -821,7 +678,7 @@ class CacheHierarchy:
                             l1.policy.on_hit(set_index, way, scratch)
                     continue
                 l1.stats.prefetch_misses += 1
-                latency, level = walk(scratch, l1, None, line_no)
+                latency, level = walk(scratch, None, line_no)
                 if level >= 3 and access_type is _IFETCH:
                     stats.l2_inst_misses += 1
 

@@ -928,8 +928,14 @@ def _cmd_serve(args) -> int:
             file=sys.stderr,
         )
     if args.ready_file:
-        with open(args.ready_file, "w", encoding="utf-8") as handle:
+        # Written whole and then renamed, so a reader that sees the file
+        # reads the URL, never an empty file.
+        import os
+
+        partial = f"{args.ready_file}.partial"
+        with open(partial, "w", encoding="utf-8") as handle:
             handle.write(server.url + "\n")
+        os.replace(partial, args.ready_file)
     server.serve_forever()
     print("repro serve: drained and stopped", file=sys.stderr)
     return 0

@@ -113,7 +113,6 @@ class PackedTrace:
         "depend_stall",
         "issue_stall",
         "_events_cache",
-        "_mem_lines_cache",
     )
 
     def __init__(self) -> None:
@@ -126,8 +125,6 @@ class PackedTrace:
         self.issue_stall = array("I")
         #: ``line_size -> (trace length at build time, event column tuple)``.
         self._events_cache: dict[int, tuple[int, tuple]] = {}
-        #: ``line_size -> (trace length at build time, mem line numbers)``.
-        self._mem_lines_cache: dict[int, tuple[int, array]] = {}
 
     # ------------------------------------------------------------ construction
     def append_raw(
@@ -259,41 +256,16 @@ class PackedTrace:
         self._events_cache[line_size] = (len(self.pc), events)
         return events
 
-    def mem_lines(self, line_size: int) -> array:
-        """Per-instruction *virtual line numbers* of the memory operands.
-
-        ``mem_lines(L)[i] == mem_address[i] // L`` for instructions carrying
-        :data:`FLAG_MEM` (0 otherwise).  The replay loop hands these to the
-        backend so that, under identity translation, the whole shift/mask
-        address-geometry work of a data access is a precomputed column read.
-        Computed once per ``line_size`` and cached; captured trace archives
-        persist the column.
-        """
-        cached = self._mem_lines_cache.get(line_size)
-        if cached is not None and cached[0] == len(self.pc):
-            return cached[1]
-        shift = line_size.bit_length() - 1
-        if line_size == (1 << shift):
-            lines = array("Q", (address >> shift for address in self.mem_address))
-        else:
-            lines = array("Q", (address // line_size for address in self.mem_address))
-        self._mem_lines_cache[line_size] = (len(self.pc), lines)
-        return lines
-
     def adopt_geometry(
-        self,
-        line_size: int,
-        events: tuple[array, array, array, array],
-        mem_lines: array,
+        self, line_size: int, events: tuple[array, array, array, array]
     ) -> None:
-        """Seed the geometry caches with columns restored from an archive.
+        """Seed the fetch-event cache with columns restored from an archive.
 
         The columns must describe exactly this trace at its current length —
         the caller (the trace archive) guarantees that by keying the file on
         the content hash of the generating spec.
         """
         self._events_cache[line_size] = (len(self.pc), tuple(events))
-        self._mem_lines_cache[line_size] = (len(self.pc), mem_lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PackedTrace({len(self)} instructions)"

@@ -64,17 +64,15 @@ class BackendModel:
         #: Issuing core index, stamped into every request (multi-core mode).
         self.core = core
         self.stats = BackendStats()
-        #: Reusable request object for the replay lane's data path.
+        #: Reusable request object for the replay lane's data accesses
+        #: (:func:`repro.cpu.core.run_lanes`).
         self._scratch = ScratchRequest()
         self._scratch.core = core
-        # Config scalars hoisted for the lane path (the config object is
+        # Config scalars hoisted for the replay lane (the config object is
         # treated as frozen once the model is built, like the hierarchy's
         # precomputed latencies).
         self._hide_latency = self.config.hide_latency
         self._stall_scale = 1.0 - self.config.overlap_fraction
-        #: The lane's data path as a closure over stable model state (stats
-        #: is reset in place, so every captured object keeps its identity).
-        self.access_translated = self._make_access_translated()
 
     def access_data(self, vaddr: int, pc: int, is_store: bool) -> DataAccessOutcome:
         """Issue a data load/store and return the exposed stall cycles."""
@@ -96,47 +94,6 @@ class BackendModel:
         self.stats.mem_stall_cycles += stall
         return DataAccessOutcome(stall_cycles=stall, result=result)
 
-    def _make_access_translated(self):
-        """Build the replay lane's data path (twin of :meth:`access_data`).
-
-        ``access_translated(paddr, pc, is_store, line_no, targets) -> stall``:
-        the lane has already translated the access (``line_no`` is the
-        physical line number of ``paddr``) and trained the prefetchers on it
-        (``targets``, see :meth:`CacheHierarchy._make_data_line`).  Repeat
-        L1-D hits skip the full hierarchy walk, and the request travels as a
-        reused :class:`ScratchRequest`, so no outcome or request object is
-        allocated.  All state updates are identical to the record path;
-        custom ``l2_access_observer`` hooks must not retain the request.
-        """
-        scratch = self._scratch
-        access_line = self.hierarchy.access_data_line
-        stats = self.stats
-        hide_latency = self._hide_latency
-        stall_scale = self._stall_scale
-        store_type = AccessType.DATA_STORE
-        load_type = AccessType.DATA_LOAD
-
-        def access_translated(
-            paddr: int, pc: int, is_store: bool, line_no: int, targets
-        ) -> float:
-            scratch.address = paddr
-            scratch.access_type = store_type if is_store else load_type
-            scratch.pc = pc
-            latency = access_line(scratch, line_no, targets)
-            stats.data_accesses += 1
-
-            exposed = latency - hide_latency
-            if exposed <= 0:
-                return 0.0
-            stall = float(exposed) * stall_scale
-            # Stores retire through the store buffer; expose half their cost.
-            if is_store:
-                stall *= 0.5
-            stats.mem_stall_cycles += stall
-            return stall
-
-        return access_translated
-
     def charge_depend_stall(self, cycles: float) -> float:
         """Account synthetic dependency-chain stalls from the trace."""
         if cycles < 0:
@@ -152,7 +109,7 @@ class BackendModel:
         return cycles
 
     def reset(self) -> None:
-        # In place: the lane-path closure captures the stats object.
+        # In place: a replay lane binds the stats object.
         stats = self.stats
         stats.data_accesses = 0
         stats.mem_stall_cycles = 0.0

@@ -26,11 +26,14 @@ stays as the reference the packed loop is pinned against
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.addressing import CACHE_LINE_SIZE, line_address
+from repro.common.request import AccessType, MemoryRequest
 from repro.common.trace import (
     FLAG_BRANCH,
     FLAG_CALL,
@@ -51,6 +54,9 @@ from repro.cpu.config import CoreConfig
 from repro.cpu.frontend import FetchEngine
 from repro.cpu.topdown import TopDownBreakdown
 
+_IFETCH = AccessType.INSTRUCTION_FETCH
+_LOAD = AccessType.DATA_LOAD
+_STORE = AccessType.DATA_STORE
 
 #: Memoised results of ``n`` sequential additions of a retire increment.
 #: The record loop accumulates ``1/width`` per instruction; the packed loop
@@ -260,6 +266,12 @@ def run_lanes(
     return results
 
 
+#: Trace events per tape chunk.  A lane's shared pass records the accesses of
+#: this many events (at most a fetch and a data access each) before its cores
+#: replay them, so the tape stays small whatever the length of the trace.
+_CHUNK_EVENTS = 2048
+
+
 def _lane_loop(cores: Sequence[CoreModel], trace: PackedTrace):
     """The replay loop of one lane, as a generator resumable between turns.
 
@@ -267,8 +279,9 @@ def _lane_loop(cores: Sequence[CoreModel], trace: PackedTrace):
     ``bound``; an event past the bound waits in the loop for the next turn.
     The generator returns the lane's results once the trace is exhausted.
 
-    Everything that depends only on the lane's event stream is computed
-    once, on the *first* (lead) core, whatever the number of cores:
+    A *shared pass* computes everything that depends only on the lane's
+    event stream once, on the *first* (lead) core, whatever the number of
+    cores:
 
     * the trace decode and the fetch-boundary decisions (the current-fetch-
       line automaton depends only on the trace);
@@ -282,15 +295,22 @@ def _lane_loop(cores: Sequence[CoreModel], trace: PackedTrace):
       each demand access, never its outcome, so one table issues exactly
       the targets each core's own table would.
 
-    Every core then walks only its own caches with the physical address,
-    line number and prefetch targets the lane hands it
-    (:meth:`FetchEngine.fetch_translated`,
-    :meth:`BackendModel.access_translated`).  The other cores' branch
-    units, prefetcher tables and translators are left untouched, and their
-    results report the shared branch unit's deltas.  A one-core lane (a solo
-    run, each core of a co-run) does all of this on its own core.  Each
-    core's ``ifetch`` and ``mem`` totals accumulate in its frontend and
-    backend statistics, in the order the record loop adds them.
+    It records every fetch and data access on a *tape*, one chunk of
+    :data:`_CHUNK_EVENTS` trace events at a time, and each core then replays
+    the chunk through its own caches (:func:`_core_replay`), core after core.
+    That order is exact because the cores of one lane share no cache (a lane
+    whose cores do is rejected): each core still sees its own accesses in
+    trace order, and the cores of other lanes (a co-run's) meet it in the
+    shared L2 only at turn bounds, where the replay stops mid-chunk.  The
+    shared pass of a co-run lane runs up to a chunk ahead of its turn; that
+    is exact because its work is local to the lane (two lanes share a page
+    table only when they replay the same prepared workload, and identical
+    streams demand-map pages in first-touch order either way).
+
+    The other cores' branch units, prefetcher tables and translators are
+    left untouched, and their results report the shared branch unit's
+    deltas.  A one-core lane (a solo run, each core of a co-run) does all of
+    this on its own core.
     """
     lead = cores[0]
     line_size = lead.line_size
@@ -313,19 +333,26 @@ def _lane_loop(cores: Sequence[CoreModel], trace: PackedTrace):
                 "cores sharing a lane need identical core/branch "
                 "configuration, line size, kind of translator and prefetchers"
             )
+    if len({id(core.hierarchy.shared) for core in cores}) != len(cores):
+        raise ValueError(
+            "cores sharing a lane must not share a cache system: the lane "
+            "replays its cores one after another"
+        )
     for core in cores:
         core._begin_replay()
-    fetches = [core.frontend.fetch_translated for core in cores]
-    accesses = [core.backend.access_translated for core in cores]
+    replays = [_core_replay(core) for core in cores]
+    for replay in replays:
+        next(replay)
     translate_instruction = translator.translate_instruction
     translate_data = _data_translation(translator)
     hierarchy = lead.hierarchy
     l1i_observe = hierarchy.l1i_observe
     l1d_observe = hierarchy.l1d_observe
     l2_observe = hierarchy.l2_observe
+    observe_fetches = l1i_observe is not None or l2_observe is not None
     line_shift = line_size.bit_length() - 1
-    # Virtual fetch line -> (paddr, temperature, physical line number).
-    translations: dict[int, tuple] = {}
+    # Virtual fetch line -> its tape entry without prefetch targets.
+    fetch_entries: dict[int, tuple] = {}
     branch_stats = lead.branch_unit.stats
     branches_before = branch_stats.branches
     mispredictions_before = branch_stats.mispredictions
@@ -336,9 +363,9 @@ def _lane_loop(cores: Sequence[CoreModel], trace: PackedTrace):
     mems = trace.mem_address
     depends = trace.depend_stall
     issues = trace.issue_stall
-    # Virtual line numbers of the data accesses, read only under identity
-    # translation (an MMU's physical lines come from its translation).
-    mem_lines = trace.mem_lines(line_size) if translate_data is None else None
+    ifetch = _IFETCH
+    load = _LOAD
+    store = _STORE
     # Only instructions that carry flags or cross a fetch boundary can change
     # simulator state; everything else just retires.  Iterate the
     # precomputed events and account retire bandwidth separately (with the
@@ -348,66 +375,99 @@ def _lane_loop(cores: Sequence[CoreModel], trace: PackedTrace):
     depend = 0.0
     issue = 0.0
     current_line = -1
+    events = zip(*trace.fetch_events(line_size))
     bound = yield
-    for index, pc, flags, fetch_line in zip(*trace.fetch_events(line_size)):
-        while index >= bound:
-            bound = yield
-        if fetch_line != current_line:
-            current_line = fetch_line
-            translation = translations.get(fetch_line)
-            if translation is None:
-                paddr, temperature = translate_instruction(fetch_line)
-                translation = (paddr, temperature, paddr >> line_shift)
-                translations[fetch_line] = translation
-            # The L1-I prefetcher's targets, then the L2 prefetcher's: the
-            # order in which the record path issues them.
-            prefetch = _NO_TARGETS
-            if l1i_observe is not None:
-                prefetch = l1i_observe(translation[0], fetch_line)
-            if l2_observe is not None:
-                l2_prefetch = l2_observe(translation[0], fetch_line)
-                if l2_prefetch:
-                    prefetch = [*prefetch, *l2_prefetch]
-            for fetch in fetches:
-                fetch(fetch_line, translation, prefetch)
+    while True:
+        # Tape entries are (kind, address, pc, physical line, translation,
+        # prefetch targets): a fetch carries its virtual line as address and
+        # pc and its (paddr, temperature); a data access its physical
+        # address and no translation.
+        tape: list[tuple] = []
+        record = tape.append
+        # The instruction index of each tape entry, for the turn bounds.
+        positions: list[int] = []
+        mark = positions.append
+        index = -1
+        for index, pc, flags, fetch_line in islice(events, _CHUNK_EVENTS):
+            if fetch_line != current_line:
+                current_line = fetch_line
+                entry = fetch_entries.get(fetch_line)
+                if entry is None:
+                    paddr, temperature = translate_instruction(fetch_line)
+                    entry = (
+                        ifetch, fetch_line, fetch_line, paddr >> line_shift,
+                        (paddr, temperature), _NO_TARGETS,
+                    )
+                    fetch_entries[fetch_line] = entry
+                if observe_fetches:
+                    # The L1-I prefetcher's targets, then the L2
+                    # prefetcher's: the order the record path issues them.
+                    paddr = entry[4][0]
+                    prefetch = _NO_TARGETS
+                    if l1i_observe is not None:
+                        prefetch = l1i_observe(paddr, fetch_line)
+                    if l2_observe is not None:
+                        l2_prefetch = l2_observe(paddr, fetch_line)
+                        if l2_prefetch:
+                            prefetch = [*prefetch, *l2_prefetch]
+                    if prefetch:
+                        entry = (*entry[:5], prefetch)
+                record(entry)
+                mark(index)
 
-        if flags:
-            if flags & FLAG_BRANCH:
-                outcome = predict_raw(
-                    pc,
-                    sizes[index],
-                    flags & FLAG_TAKEN != 0,
-                    targets[index],
-                    flags & FLAG_INDIRECT != 0,
-                    flags & FLAG_CALL != 0,
-                    flags & FLAG_RETURN != 0,
-                )
-                if outcome[2]:
-                    mispred += penalty
-                if flags & FLAG_TAKEN:
-                    # Fetch redirects to the branch target.
-                    current_line = -1
-            if flags & FLAG_MEM:
-                if translate_data is None:
-                    paddr = mems[index]
-                    line_no = mem_lines[index]
-                else:
-                    paddr = translate_data(mems[index])
-                    line_no = paddr >> line_shift
-                prefetch = _NO_TARGETS
-                if l1d_observe is not None:
-                    prefetch = l1d_observe(paddr, pc)
-                if l2_observe is not None:
-                    l2_prefetch = l2_observe(paddr, pc)
-                    if l2_prefetch:
-                        prefetch = [*prefetch, *l2_prefetch]
-                is_store = flags & FLAG_STORE != 0
-                for access in accesses:
-                    access(paddr, pc, is_store, line_no, prefetch)
-            if flags & FLAG_DEPEND:
-                depend += depends[index]
-            if flags & FLAG_ISSUE:
-                issue += issues[index]
+            if flags:
+                if flags & FLAG_BRANCH:
+                    outcome = predict_raw(
+                        pc,
+                        sizes[index],
+                        flags & FLAG_TAKEN != 0,
+                        targets[index],
+                        flags & FLAG_INDIRECT != 0,
+                        flags & FLAG_CALL != 0,
+                        flags & FLAG_RETURN != 0,
+                    )
+                    if outcome[2]:
+                        mispred += penalty
+                    if flags & FLAG_TAKEN:
+                        # Fetch redirects to the branch target.
+                        current_line = -1
+                if flags & FLAG_MEM:
+                    if translate_data is None:
+                        paddr = mems[index]
+                    else:
+                        paddr = translate_data(mems[index])
+                    prefetch = _NO_TARGETS
+                    if l1d_observe is not None:
+                        prefetch = l1d_observe(paddr, pc)
+                    if l2_observe is not None:
+                        l2_prefetch = l2_observe(paddr, pc)
+                        if l2_prefetch:
+                            prefetch = [*prefetch, *l2_prefetch]
+                    record((
+                        store if flags & FLAG_STORE else load, paddr, pc,
+                        paddr >> line_shift, None, prefetch,
+                    ))
+                    mark(index)
+                if flags & FLAG_DEPEND:
+                    depend += depends[index]
+                if flags & FLAG_ISSUE:
+                    issue += issues[index]
+        if index < 0:  # no event left: the trace is exhausted
+            break
+        # Replay the chunk on every core, stopping at each turn's bound.
+        start = 0
+        end = len(tape)
+        while start < end:
+            if positions[start] >= bound:
+                bound = yield
+                continue
+            stop = bisect_left(positions, bound, start + 1, end)
+            entries = tape[start:stop]
+            for replay in replays:
+                replay.send(entries)
+            start = stop
+    for replay in replays:
+        replay.close()
 
     instructions = len(trace.pc)
     retire = _retire_total(1.0 / config.dispatch_width, instructions)
@@ -441,6 +501,206 @@ def _lane_loop(cores: Sequence[CoreModel], trace: PackedTrace):
     return results
 
 
+def _core_replay(core: CoreModel):
+    """One core's replay of its lane's tape, as a generator.
+
+    Each ``send(entries)`` replays tape entries through the core's own
+    caches; ``close()`` adds the counters the replay kept to the core's
+    statistics.  Everything the loop touches is bound once per lane.  The
+    demand path is inline: an L1 hit updates the replacement state (with no
+    Python call where the policy declares its hit update), a miss continues
+    in the walk below that L1 (``CacheHierarchy._walk_below_l1i`` /
+    ``_walk_below_l1d``), and the prefetch targets go to
+    :meth:`CacheHierarchy._issue_targets` after the demand access, as on the
+    record path (:meth:`CacheHierarchy.access_instruction`,
+    :meth:`~CacheHierarchy.access_data`).
+
+    A fetch travels as the frontend's cached request for its line (dropped
+    when the line's starvation hint flips), a data access as the backend's
+    scratch request, so the walk, ``l2_access_observer`` and request-aware
+    policies see the values the record path hands them.  Integer counters
+    are summed in locals and added on close; the float ``ifetch`` and
+    ``mem`` stall totals are carried in locals from their current values and
+    grow by one add per access, and the per-line stall maps are updated per
+    access, so every float is the record path's sum in the record path's
+    order.
+    """
+    hierarchy = core.hierarchy
+    frontend = core.frontend
+    backend = core.backend
+    walk_l1i = hierarchy._walk_below_l1i
+    walk_l1d = hierarchy._walk_below_l1d
+    issue_targets = hierarchy._issue_targets
+    l1i = hierarchy.l1i
+    l1i_map = l1i._line_map
+    l1i_mask = l1i._set_mask
+    i_kind = l1i._touch_kind
+    i_rows = l1i._touch_rows
+    i_arg = l1i._touch_arg
+    i_touch = l1i._policy_touch
+    i_on_hit = l1i.policy.on_hit
+    l1d = hierarchy.l1d
+    l1d_map = l1d._line_map
+    l1d_mask = l1d._set_mask
+    l1d_ways = l1d.associativity
+    l1d_dirty = l1d._dirty
+    d_kind = l1d._touch_kind
+    d_rows = l1d._touch_rows
+    d_arg = l1d._touch_arg
+    d_touch = l1d._policy_touch
+    d_on_hit = l1d.policy.on_hit
+    lat_l1i = hierarchy._lat_l1i
+    lat_l1d = hierarchy._lat_l1d
+    requests = frontend._request_cache
+    starved = frontend._starved_lines
+    remember = frontend._remember_starvation
+    line_stalls = frontend.line_stall_cycles
+    line_misses = frontend.line_miss_counts
+    hidden = frontend._hidden_latency
+    core_id = frontend.core
+    scratch = backend._scratch
+    hide = backend._hide_latency
+    scale = backend._stall_scale
+    ifetch = _IFETCH
+    store = _STORE
+    # An L1 hit's exposed stall is a constant per access kind (none in the
+    # shipped configurations, whose L1 latency is fully hidden).
+    fetch_hit_stall = float(lat_l1i) - hidden
+    exposed = lat_l1d - hide
+    load_hit_stall = float(exposed) * scale if exposed > 0 else 0.0
+    store_hit_stall = load_hit_stall * 0.5
+    fetch_hits = fetch_misses = fetch_l2_misses = 0
+    data_hits = data_misses = data_l2_misses = 0
+    dram = 0
+    miss_latency = 0
+    ifetch_stall = frontend.stats.ifetch_stall_cycles
+    mem_stall = backend.stats.mem_stall_cycles
+    try:
+        while True:
+            entries = yield
+            for kind, address, pc, line_no, translation, targets in entries:
+                if kind is ifetch:
+                    request = requests.get(address)
+                    if request is None:
+                        request = MemoryRequest(
+                            address=translation[0],
+                            access_type=ifetch,
+                            pc=address,
+                            temperature=translation[1],
+                            starvation_hint=address in starved,
+                            core=core_id,
+                        )
+                        requests[address] = request
+                    way = l1i_map.get(line_no)
+                    if way is not None:
+                        fetch_hits += 1
+                        if i_kind == 2:
+                            clock = i_arg[0] + 1
+                            i_arg[0] = clock
+                            i_rows[line_no & l1i_mask][way] = clock
+                        elif i_kind == 1:
+                            i_rows[line_no & l1i_mask][way] = i_arg
+                        elif i_kind == 0:
+                            if i_touch is not None:
+                                i_touch(line_no & l1i_mask, way)
+                            else:
+                                i_on_hit(line_no & l1i_mask, way, request)
+                        if targets:
+                            issue_targets(request, l1i, targets)
+                        if fetch_hit_stall <= 0:
+                            continue
+                        stall = fetch_hit_stall
+                    else:
+                        fetch_misses += 1
+                        latency, level = walk_l1i(request, None, line_no)
+                        miss_latency += latency
+                        if targets:
+                            issue_targets(request, l1i, targets)
+                        if level >= 3:
+                            fetch_l2_misses += 1
+                            if level == 4:
+                                dram += 1
+                            remember(address)
+                        stall = latency - hidden
+                        if stall <= 0:
+                            continue
+                    ifetch_stall += stall
+                    line_stalls[address] = line_stalls.get(address, 0.0) + stall
+                    line_misses[address] = line_misses.get(address, 0) + 1
+                    continue
+
+                way = l1d_map.get(line_no)
+                if way is not None:
+                    data_hits += 1
+                    set_index = line_no & l1d_mask
+                    if kind is store:
+                        l1d_dirty[set_index * l1d_ways + way] = 1
+                    if d_kind == 2:
+                        clock = d_arg[0] + 1
+                        d_arg[0] = clock
+                        d_rows[set_index][way] = clock
+                    elif d_kind == 1:
+                        d_rows[set_index][way] = d_arg
+                    elif d_kind == 0:
+                        if d_touch is not None:
+                            d_touch(set_index, way)
+                        else:
+                            scratch.address = address
+                            scratch.access_type = kind
+                            scratch.pc = pc
+                            d_on_hit(set_index, way, scratch)
+                    if targets:
+                        scratch.address = address
+                        scratch.access_type = kind
+                        scratch.pc = pc
+                        issue_targets(scratch, l1d, targets)
+                    if load_hit_stall:
+                        mem_stall += store_hit_stall if kind is store else load_hit_stall
+                    continue
+                data_misses += 1
+                scratch.address = address
+                scratch.access_type = kind
+                scratch.pc = pc
+                latency, level = walk_l1d(scratch, None, line_no)
+                miss_latency += latency
+                if level >= 3:
+                    data_l2_misses += 1
+                    if level == 4:
+                        dram += 1
+                if targets:
+                    issue_targets(scratch, l1d, targets)
+                exposed = latency - hide
+                if exposed > 0:
+                    stall = float(exposed) * scale
+                    if kind is store:
+                        stall *= 0.5
+                    mem_stall += stall
+    finally:
+        stats = hierarchy.stats
+        fetches = fetch_hits + fetch_misses
+        accesses = data_hits + data_misses
+        stats.instruction_fetches += fetches
+        stats.data_accesses += accesses
+        stats.l1i_misses += fetch_misses
+        stats.l1d_misses += data_misses
+        stats.l2_inst_misses += fetch_l2_misses
+        stats.l2_data_misses += data_l2_misses
+        stats.slc_misses += dram
+        stats.dram_accesses += dram
+        stats.total_latency += (
+            lat_l1i * fetch_hits + lat_l1d * data_hits + miss_latency
+        )
+        l1i.stats.inst_hits += fetch_hits
+        l1i.stats.inst_misses += fetch_misses
+        l1d.stats.data_hits += data_hits
+        l1d.stats.data_misses += data_misses
+        frontend.stats.demand_fetches += fetches
+        frontend.stats.starvation_events += fetch_l2_misses
+        frontend.stats.ifetch_stall_cycles = ifetch_stall
+        backend.stats.data_accesses += accesses
+        backend.stats.mem_stall_cycles = mem_stall
+
+
 #: The prefetch targets of a demand access no prefetcher issues on.
 _NO_TARGETS: tuple[int, ...] = ()
 
@@ -456,8 +716,7 @@ def _prefetcher_configs(core: CoreModel) -> list:
 
 def _data_translation(translator: AddressTranslator):
     """Address-only data translation through ``translator``, or ``None``
-    under identity translation (physical == virtual, so the trace's
-    precomputed line numbers are the physical ones)."""
+    under identity translation (physical == virtual)."""
     if type(translator) is IdentityTranslator:
         return None
     translate = getattr(translator, "translate_data_addr", None)

@@ -71,15 +71,15 @@ class FetchEngine:
         #: Virtual line addresses whose demand miss starved decode; requests
         #: to these lines carry Emissary's starvation hint when refetched.
         self._starved_lines: dict[int, bool] = {}
-        #: Per-virtual-line cache of ``(translated request, physical line
-        #: number)`` pairs used by the lane path.  ``MemoryRequest`` is
+        #: Per-virtual-line cache of translated requests, used by the replay
+        #: lane (:func:`repro.cpu.core.run_lanes`).  ``MemoryRequest`` is
         #: immutable and the translation of a line never changes once the page
         #: is mapped, so a cached request is value-identical to a freshly
         #: built one; entries are dropped whenever the line's starvation hint
         #: changes.
-        self._request_cache: dict[int, tuple[MemoryRequest, int]] = {}
+        self._request_cache: dict[int, MemoryRequest] = {}
         #: Fetch latency hidden from decode (buffer slack + FDIP run-ahead),
-        #: hoisted for the lane path; the config is treated as frozen once
+        #: hoisted for the replay lane; the config is treated as frozen once
         #: the engine is built.
         self._hidden_latency = float(self.config.fetch_buffer_slack)
         if self.config.fdip_enabled:
@@ -88,9 +88,6 @@ class FetchEngine:
         #: counts, used by the costly-miss coverage analysis (Figure 7).
         self.line_stall_cycles: dict[int, float] = {}
         self.line_miss_counts: dict[int, int] = {}
-        #: The lane's fetch path as a closure over stable engine state
-        #: (stats and the per-line maps are reset in place).
-        self.fetch_translated = self._make_fetch_translated()
 
     # ----------------------------------------------------------------- fetch
     def fetch_line(self, vaddr: int) -> FetchOutcome:
@@ -124,62 +121,6 @@ class FetchEngine:
             stall_cycles=stall, result=result, caused_starvation=caused_starvation
         )
 
-    def _make_fetch_translated(self):
-        """Build the replay lane's fetch path as a closure.
-
-        ``fetch_translated(vline, translation, targets) -> stall`` fetches
-        the line-aligned virtual address ``vline``.  The lane has already
-        translated it — ``translation`` is ``(paddr, temperature,
-        physical line number)`` — and trained the prefetchers on it
-        (``targets``, see :meth:`CacheHierarchy._make_instruction_line`).
-        The request is cached per line, so a repeat fetch of a resident
-        line costs two dict lookups instead of three object allocations and
-        a full hierarchy walk.  All simulation state transitions (cache
-        statistics, replacement state, starvation tracking, per-line stall
-        maps) are identical to :meth:`fetch_line`; this engine's translator
-        and the hierarchy's prefetchers are not consulted.
-        """
-        request_cache = self._request_cache
-        access_line = self.hierarchy.access_instruction_line
-        stats = self.stats
-        starved_lines = self._starved_lines
-        remember = self._remember_starvation
-        line_stall_cycles = self.line_stall_cycles
-        line_miss_counts = self.line_miss_counts
-        hidden_latency = self._hidden_latency
-        core = self.core
-
-        def fetch_translated(vline: int, translation, targets) -> float:
-            cached = request_cache.get(vline)
-            if cached is None:
-                paddr, temperature, line_no = translation
-                request = MemoryRequest(
-                    address=paddr,
-                    access_type=AccessType.INSTRUCTION_FETCH,
-                    pc=vline,
-                    temperature=temperature,
-                    starvation_hint=vline in starved_lines,
-                    core=core,
-                )
-                cached = (request, line_no)
-                request_cache[vline] = cached
-            request, line_no = cached
-            latency, l2_miss = access_line(request, line_no, targets)
-            stats.demand_fetches += 1
-
-            stall = float(latency) - hidden_latency
-            if l2_miss:
-                remember(vline)
-                stats.starvation_events += 1
-            if stall > 0:
-                stats.ifetch_stall_cycles += stall
-                line_stall_cycles[vline] = line_stall_cycles.get(vline, 0.0) + stall
-                line_miss_counts[vline] = line_miss_counts.get(vline, 0) + 1
-                return stall
-            return 0.0
-
-        return fetch_translated
-
     # ------------------------------------------------------------- starvation
     def _remember_starvation(self, vline: int) -> None:
         if vline not in self._starved_lines:
@@ -198,7 +139,7 @@ class FetchEngine:
         return frozenset(self._starved_lines)
 
     def reset(self) -> None:
-        # In place: the lane-path closure captures the stats object and maps.
+        # In place: a replay lane binds the stats object and maps.
         stats = self.stats
         stats.demand_fetches = 0
         stats.starvation_events = 0

@@ -54,11 +54,11 @@ if TYPE_CHECKING:  # the pipeline imports this package; keep layering acyclic
 
 #: Bump when the on-disk layout or anything a key covers changes; old
 #: entries then simply stop matching.  Version 2 added the precomputed
-#: address-geometry columns (fetch events and memory line numbers for the
-#: standard cache line size), so replayed traces skip all shift/mask and
-#: event-scan work; version-1 archives are treated as plain misses and
-#: regenerated.
-TRACE_SCHEMA_VERSION = 2
+#: fetch-event columns for the standard cache line size, so replayed traces
+#: skip the event scan; version 3 dropped version 2's per-instruction memory
+#: line numbers, which replay no longer reads.  Older archives are treated
+#: as plain misses and regenerated.
+TRACE_SCHEMA_VERSION = 3
 
 MAGIC = b"RPROTRC1"
 
@@ -78,16 +78,13 @@ COLUMNS: tuple[tuple[str, str], ...] = (
 #: size simply recomputes lazily, exactly as before capture existed.
 GEOMETRY_LINE_SIZE = CACHE_LINE_SIZE
 
-#: The geometry columns, in on-disk order.  The first four are per fetch
-#: *event* (see :meth:`~repro.common.trace.PackedTrace.fetch_events`); the
-#: last is per instruction
-#: (:meth:`~repro.common.trace.PackedTrace.mem_lines`).
+#: The geometry columns, in on-disk order, one entry per fetch *event* (see
+#: :meth:`~repro.common.trace.PackedTrace.fetch_events`).
 GEOMETRY_COLUMNS: tuple[tuple[str, str], ...] = (
     ("event_indices", "I"),
     ("event_pcs", "Q"),
     ("event_flags", "H"),
     ("event_lines", "Q"),
-    ("mem_lines", "Q"),
 )
 
 #: Segment names of one capture, in on-disk order.
@@ -141,7 +138,6 @@ def _geometry_arrays(trace: PackedTrace) -> dict[str, array]:
         "event_pcs": pcs,
         "event_flags": flags,
         "event_lines": lines,
-        "mem_lines": trace.mem_lines(GEOMETRY_LINE_SIZE),
     }
 
 
@@ -281,8 +277,8 @@ def read_trace_file(path: Path) -> tuple[PackedTrace, PackedTrace, dict]:
                     payload, offset, column, length, byteorder
                 )
                 setattr(trace, column["name"], values)
-            # Geometry columns: restored straight into the trace's caches so
-            # replay skips the event scan and all shift/mask work.
+            # Geometry columns: restored straight into the trace's event
+            # cache so replay skips the event scan.
             geometry = entry["geometry"]
             declared = [column["name"] for column in geometry["columns"]]
             if declared != [column for column, _ in GEOMETRY_COLUMNS]:
@@ -294,25 +290,13 @@ def read_trace_file(path: Path) -> tuple[PackedTrace, PackedTrace, dict]:
                 raise CaptureFormatError(
                     f"bad geometry events length {events_length!r}"
                 )
-            restored: dict[str, array] = {}
+            events = []
             for column in geometry["columns"]:
-                column_length = (
-                    length if column["name"] == "mem_lines" else events_length
-                )
                 values, offset = _read_column(
-                    payload, offset, column, column_length, byteorder
+                    payload, offset, column, events_length, byteorder
                 )
-                restored[column["name"]] = values
-            trace.adopt_geometry(
-                geometry["line_size"],
-                (
-                    restored["event_indices"],
-                    restored["event_pcs"],
-                    restored["event_flags"],
-                    restored["event_lines"],
-                ),
-                restored["mem_lines"],
-            )
+                events.append(values)
+            trace.adopt_geometry(geometry["line_size"], tuple(events))
             traces.append(trace)
     except (KeyError, TypeError, ValueError, OverflowError) as error:
         raise CaptureFormatError(f"malformed header: {error}") from error

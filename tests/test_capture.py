@@ -308,11 +308,9 @@ class TestSchemaVersioning:
         write_trace_file(path, warmup, measured, {})
         _, loaded, _ = read_trace_file(path)
 
-        # The loaded trace's caches are pre-seeded by adopt_geometry…
+        # The loaded trace's event cache is pre-seeded by adopt_geometry…
         assert GEOMETRY_LINE_SIZE in loaded._events_cache
-        assert GEOMETRY_LINE_SIZE in loaded._mem_lines_cache
         restored = loaded.fetch_events(GEOMETRY_LINE_SIZE)
-        restored_mem = loaded.mem_lines(GEOMETRY_LINE_SIZE)
         # …and byte-identical to recomputing from the raw columns.
         from repro.common.trace import PackedTrace
 
@@ -330,6 +328,3 @@ class TestSchemaVersioning:
         computed = fresh.fetch_events(GEOMETRY_LINE_SIZE)
         for restored_column, computed_column in zip(restored, computed):
             assert restored_column.tobytes() == computed_column.tobytes()
-        assert restored_mem.tobytes() == fresh.mem_lines(
-            GEOMETRY_LINE_SIZE
-        ).tobytes()

@@ -560,6 +560,26 @@ class TestSessionFaults:
         assert report.retried == 2  # srrip and lru share the failed task
         assert report.failed == 0
 
+    def test_unusable_supervision_is_rejected_before_any_work(self, tmp_path):
+        # The pool was the first to check the policy, and a fully stored
+        # grid never reaches it: the executor checks it before any work.
+        store_root = tmp_path / "store"
+        stored = make_session(store_root=store_root).sweep_checkpointed(
+            benchmarks=[tiny_spec()], policies=["lru"]
+        )
+        assert stored.report.complete
+        session = make_session(store_root=store_root)
+        with pytest.raises(ConfigurationError, match="must be"):
+            session.sweep_checkpointed(
+                benchmarks=[tiny_spec()],
+                policies=["lru"],
+                supervision=SupervisionPolicy(
+                    unit_timeout=math.nan, max_retries=-3
+                ),
+            )
+        assert session.runner.simulations_run == 0
+        assert session.store.hits == session.store.misses == 0
+
     def test_truncated_trace_capture_is_quarantined(self, tmp_path):
         traces = tmp_path / "traces"
         session = make_session(store_root=tmp_path / "a", trace_root=traces)

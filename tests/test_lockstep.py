@@ -16,10 +16,10 @@ import pytest
 
 from repro.api.scenario import Scenario
 from repro.api.session import Session
+from repro.cache.hierarchy import CacheHierarchy, SharedCacheSystem
 from repro.common.temperature import Temperature
-from repro.common.trace import PackedTrace
 from repro.core.pipeline import CoDesignPipeline
-from repro.cpu.core import run_lanes
+from repro.cpu.core import CoreModel, run_lanes
 from repro.experiments.bench import build_traces
 from repro.experiments.runner import BenchmarkRunner
 from repro.experiments.store import ResultStore
@@ -162,43 +162,48 @@ class TestLaneSharedWork:
             # The trace must train the prefetchers, or nothing is pinned.
             assert solo.hierarchy.stats.prefetches_issued > 500, policy
 
-    def test_mmu_lane_builds_no_virtual_data_lines(self, monkeypatch):
-        """Under an MMU a data access's physical line comes from its
-        translation, so a lane never builds the trace's virtual
-        ``mem_lines`` column; under identity translation it reads it."""
+    def test_identity_lane_matches_record_loop_solo_runs(self):
+        """Under identity translation a lane computes each data access's
+        line from its address, as under an MMU: each core of an
+        identity-translated lane equals a record-loop solo replay."""
         config = SimulatorConfig.scaled()
         records, packed = build_traces("streaming", self.INSTRUCTIONS)
-        built = []
-        mem_lines = PackedTrace.mem_lines
-
-        def counting(trace, line_size):
-            built.append(line_size)
-            return mem_lines(trace, line_size)
-
-        monkeypatch.setattr(PackedTrace, "mem_lines", counting)
-        shared_table = self.page_table()
         lane = [
-            SystemSimulator(
-                config.with_l2_policy(policy),
-                translator=MMU(shared_table),
-                benchmark="streaming",
-            )
+            SystemSimulator(config.with_l2_policy(policy), benchmark="streaming")
             for policy in self.POLICIES
         ]
         lane_results = run_lockstep(lane, packed, packed)
-        assert built == []
-        for policy, result in zip(self.POLICIES, lane_results):
+        for policy, simulator, result in zip(self.POLICIES, lane, lane_results):
             solo = SystemSimulator(
-                config.with_l2_policy(policy),
-                translator=MMU(self.page_table()),
-                benchmark="streaming",
+                config.with_l2_policy(policy), benchmark="streaming"
             )
             solo.warm_up(records)
             assert result == solo.run(records), policy
+            assert hierarchy_state(simulator.hierarchy) == hierarchy_state(
+                solo.hierarchy
+            ), policy
+            assert simulator.hierarchy.stats == solo.hierarchy.stats, policy
 
-        identity = SystemSimulator(config, benchmark="streaming")
-        run_lockstep([identity], packed, packed)
-        assert built
+    def test_cores_sharing_a_cache_system_rejected(self):
+        """A lane replays its cores one after another, which is exact only
+        while they share no cache, so cores over one shared L2 cannot form a
+        lane."""
+        config = SimulatorConfig.scaled()
+        shared = SharedCacheSystem(config.hierarchy)
+        cores = [
+            CoreModel(
+                CacheHierarchy(config.hierarchy, shared=shared, core_id=core_id),
+                config=config.core,
+                core=core_id,
+            )
+            for core_id in range(2)
+        ]
+        _, packed = build_traces("streaming", 1000)
+        with pytest.raises(ValueError, match="cache system"):
+            run_lanes([(cores, packed)])
+        solo = SystemSimulator(config, benchmark="solo")
+        with pytest.raises(ValueError, match="cache system"):
+            run_lanes([([solo.core, solo.core], packed)])
 
     def test_mismatched_prefetchers_rejected(self):
         """The lead core's prefetchers train for the whole lane, so cores

@@ -153,6 +153,22 @@ class TestSharedCache:
         assert result.inter_core_evictions == evictions
         assert result.occupancy == occupancy
 
+    def test_self_corun_at_uneven_turns_is_pinned(self, tiny_session):
+        # Both cores replay one prepared workload, so their MMUs demand-map
+        # pages into one page table, and at 3:1 the first core runs ahead.
+        # A lane translates up to a tape chunk ahead of its turn; identical
+        # streams map pages in first-touch order either way, so the values
+        # are exact, pinned as for the pair above.
+        result = run_cores(
+            tiny_session, (CONTENDERS[0], CONTENDERS[0]), interleave=(3, 1)
+        )
+        assert [core.cycles for core in result.cores] == [
+            35078.591666666645,
+            35418.091666666645,
+        ]
+        assert result.inter_core_evictions == {0: 58, 1: 20}
+        assert result.occupancy == {0: 233, 1: 269}
+
     def test_occupancy_matches_l2_contents_through_reset(self, tiny_session):
         [request] = tiny_session.plan(
             Scenario(cores=CONTENDERS, policies=("lru",))

@@ -7,10 +7,12 @@ The two must be **bit-identical**: same :class:`SimulationResult` (cycles, Top-D
 MPKI, per-line stall dicts), same cache columns, same residency dicts, same
 replacement-policy state, same RNG state.
 
-This suite pins that property over the full policy × workload-family matrix
-(every registered replacement policy crossed with every registered workload
-family), each pair replayed through the regular co-design pipeline at a
-reduced instruction budget.
+This suite pins that property over the full policy × workload matrix: every
+registered replacement policy crossed with every registered workload family,
+each replayed through the regular co-design pipeline at a reduced
+instruction budget, and with the bench's ``streaming`` shape, whose strides
+make the prefetchers issue targets on fetches and data accesses that hit and
+miss the L1 alike (the families barely make them issue).
 """
 
 from __future__ import annotations
@@ -20,18 +22,22 @@ from array import array
 
 import pytest
 
+from repro.common.trace import PackedTrace
 from repro.sim.config import SimulatorConfig
 from repro.sim.simulator import SystemSimulator
 from repro.testing import equivalence_policy_names
 from repro.workloads.families import family_names
 
+#: The workload name of the bench's ``streaming`` shape in the matrix.
+BENCH_STREAMING = "bench-streaming"
+
 
 def equivalence_matrix() -> tuple[tuple[str, str], ...]:
-    """Policy-major (policy, workload family) rows, in deterministic order."""
+    """Policy-major (policy, workload) rows, in deterministic order."""
     return tuple(
         (policy, family)
         for policy in equivalence_policy_names()
-        for family in family_names()
+        for family in (*family_names(), BENCH_STREAMING)
     )
 
 
@@ -42,6 +48,14 @@ _TRACES: dict[str, tuple] = {}
 
 def traces_for(family: str):
     """Small deterministic (warm-up, measured) packed traces for a family."""
+    if family == BENCH_STREAMING and family not in _TRACES:
+        from repro.experiments.bench import build_traces
+
+        records, _ = build_traces("streaming", 5000)
+        _TRACES[family] = (
+            PackedTrace.from_records(records[:1000]),
+            PackedTrace.from_records(records[1000:]),
+        )
     if family not in _TRACES:
         from repro.experiments.runner import BenchmarkRunner
         from repro.workloads.families import WorkloadFamilySpec
