@@ -14,9 +14,6 @@ from repro.cache.block import CacheBlock
 from repro.cache.replacement.base import (
     ReplacementPolicy,
     inherited_feature_is_exact,
-    is_request_free_hit,
-    is_request_free_insert,
-    is_request_free_victim,
 )
 from repro.cache.stats import CacheStats
 from repro.common.addressing import CACHE_LINE_SIZE, is_power_of_two
@@ -93,11 +90,6 @@ class SetAssociativeCache:
         "_set_mask",
         "_set_bits",
         "_tag_divisor",
-        "_time",
-        "_policy_touch",
-        "_policy_victim",
-        "_policy_insert",
-        "_policy_replace",
         "_touch_kind",
         "_touch_rows",
         "_touch_arg",
@@ -181,49 +173,23 @@ class SetAssociativeCache:
         #: Divisor that turns a byte address into a tag (kept for analysis
         #: code and the seed baseline, which still use the divide form).
         self._tag_divisor = line_size * num_sets
-        self._time = 0
         self._bind_policy_hooks()
 
     def _bind_policy_hooks(self) -> None:
-        """Pre-bind the array-state protocol where the policy allows it.
+        """Bind the policy's inline forms (see
+        :mod:`repro.cache.replacement.base`).
 
-        Request-free policies (see :mod:`repro.cache.replacement.base`) are
-        entered through ``touch``/``victim``/``replace`` directly — or, when
-        the policy declares its hit update as data, with no call at all;
-        ``None`` means the request-aware hook must be used.
+        A form is used only while the concrete policy class leaves every hook
+        it summarises untouched (``inherited_feature_is_exact``); a subclass
+        overriding e.g. ``select_victim`` is called through its hooks.
         """
         policy = self.policy
-        request_free_hit = is_request_free_hit(policy)
-        self._policy_touch = policy.touch if request_free_hit else None
-        self._policy_victim = (
-            policy.victim if is_request_free_victim(policy) else None
-        )
-        self._policy_insert = (
-            policy.touch if is_request_free_insert(policy) else None
-        )
-        #: Fused victim+evict+insert, when the policy offers one (see
-        #: ``ReplacementPolicy.replace``); one hook call per eviction-fill
-        #: instead of three.  Every fused/declarative feature is trusted only
-        #: when the concrete policy class leaves the hooks it summarises
-        #: untouched (``inherited_feature_is_exact``) — a subclass overriding
-        #: e.g. ``select_victim`` falls back to the plain hook sequence.
-        self._policy_replace = (
-            policy.replace
-            if policy.replace is not None
-            and inherited_feature_is_exact(policy, "replace")
-            else None
-        )
         #: Declarative hit update (see ``ReplacementPolicy.hit_update_spec``):
-        #: kind 0 = call ``touch``/``on_hit``, 1 = ``rows[set][way] = arg``,
+        #: kind 0 = call ``on_hit``, 1 = ``rows[set][way] = arg``,
         #: 2 = ``arg[0] += 1; rows[set][way] = arg[0]``, 3 = no-op.  Kinds
         #: 1-3 let every hit site write the policy array inline, with zero
         #: Python calls.
-        spec = (
-            policy.hit_update_spec()
-            if request_free_hit
-            and inherited_feature_is_exact(policy, "hit_update_spec")
-            else None
-        )
+        spec = _exact_spec(policy, "hit_update_spec")
         if spec is None:
             self._touch_kind = 0
             self._touch_rows = None
@@ -244,16 +210,12 @@ class SetAssociativeCache:
             raise ConfigurationError(
                 f"{self.name}: unknown hit_update_spec {spec!r}"
             )
-        #: Declarative fused replacement (see
-        #: ``ReplacementPolicy.replace_spec``): kind 0 = call ``replace``/
-        #: ``victim``/``select_victim``, 1 = LRU clock restamp, 2 = static
-        #: RRIP aging.  Kinds 1-2 run the whole eviction+insertion policy
-        #: update inline in the fill closure, with zero Python calls.
-        rspec = (
-            policy.replace_spec()
-            if inherited_feature_is_exact(policy, "replace_spec")
-            else None
-        )
+        #: Declarative full-set fill (see ``ReplacementPolicy.replace_spec``):
+        #: kind 0 = call ``select_victim``, then the eviction update, then
+        #: ``on_insert``; 1 = LRU clock restamp, 2 = static RRIP aging.
+        #: Kinds 1-2 run the whole eviction+insertion policy update inline in
+        #: the fill closure, with zero Python calls.
+        rspec = _exact_spec(policy, "replace_spec")
         if rspec is None:
             self._replace_kind = 0
             self._replace_rows = None
@@ -274,11 +236,7 @@ class SetAssociativeCache:
                 f"{self.name}: unknown replace_spec {rspec!r}"
             )
         #: Declarative eviction update (``rows[set][way] = value``), or None.
-        espec = (
-            policy.evict_update_spec()
-            if inherited_feature_is_exact(policy, "evict_update_spec")
-            else None
-        )
+        espec = _exact_spec(policy, "evict_update_spec")
         if espec is None:
             self._evict_rows = None
             self._evict_arg = None
@@ -391,11 +349,7 @@ class SetAssociativeCache:
             elif kind == 1:
                 self._touch_rows[set_index][way] = self._touch_arg
             elif kind == 0:
-                touch = self._policy_touch
-                if touch is not None:
-                    touch(set_index, way)
-                else:
-                    self.policy.on_hit(set_index, way, request)
+                self.policy.on_hit(set_index, way, request)
             return True
         if request.is_prefetch:
             stats.prefetch_misses += 1
@@ -428,17 +382,6 @@ class SetAssociativeCache:
             return None
         return (victim[0] << self._line_shift, victim[1], victim[2])
 
-    def fill_line(
-        self, request: MemoryRequest, line_no: int
-    ) -> Optional[tuple[int, int, int]]:
-        """Raw fill with the request's line number precomputed.
-
-        The victim triple is ``(line number, is_instruction, pc)`` — the
-        line-number form every internal consumer wants (back-invalidation and
-        victim fills key on line numbers; an address is one shift away).
-        """
-        return self._fill(request, line_no, 1)
-
     def _make_fill(self):
         """Build the fill hot path as a closure over stable cache state.
 
@@ -468,9 +411,6 @@ class SetAssociativeCache:
         valid_counts = self._valid_counts
         stats = self.stats
         policy = self.policy
-        policy_replace = self._policy_replace
-        policy_victim = self._policy_victim
-        policy_insert = self._policy_insert
         policy_select = policy.select_victim
         policy_evict = policy.on_evict
         policy_on_insert = policy.on_insert
@@ -495,8 +435,7 @@ class SetAssociativeCache:
         ):
             # Core fill body over scalar request fields: the hierarchy walk
             # extracts them once per miss and reuses them for every level's
-            # fill.  ``request`` is only consulted by non-declarative policy
-            # hooks.
+            # fill.  ``request`` is only consulted by the policy's hooks.
             set_index = line_no & set_mask
             base = set_index * ways
 
@@ -533,8 +472,8 @@ class SetAssociativeCache:
                 elif replace_kind == 2:
                     # Declarative fused static-RRIP replace: collapse the
                     # aging loop, evict the first Distant way, insert at the
-                    # static prediction (see RRIPBase.victim for why the
-                    # delta step is exact).
+                    # static prediction (see RRIPBase.select_victim for why
+                    # the delta step is exact).
                     rrpvs = replace_rows[set_index]
                     oldest = max(rrpvs)
                     if oldest < replace_a:
@@ -544,13 +483,6 @@ class SetAssociativeCache:
                     way = rrpvs.index(replace_a)
                     rrpvs[way] = replace_b
                     hooked = True
-                elif policy_replace is not None:
-                    # Fused victim+evict+insert hook: the policy state is
-                    # fully updated in one call (ReplacementPolicy.replace).
-                    way = policy_replace(set_index)
-                    hooked = True
-                elif policy_victim is not None:
-                    way = policy_victim(set_index)
                 else:
                     way = policy_select(set_index, request)
                 slot = base + way
@@ -589,10 +521,7 @@ class SetAssociativeCache:
             if is_prefetch:
                 stats.prefetch_fills += 1
             if not hooked:
-                if policy_insert is not None:
-                    policy_insert(set_index, way)
-                else:
-                    policy_on_insert(set_index, way, request)
+                policy_on_insert(set_index, way, request)
             return victim
 
         def fill(
@@ -657,7 +586,6 @@ class SetAssociativeCache:
             self._valid_counts[set_index] = 0
         self.stats.reset()
         self.policy.reset()
-        self._time = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -665,3 +593,11 @@ class SetAssociativeCache:
             f"ways={self.associativity}, sets={self.num_sets}, "
             f"policy={self.policy.name})"
         )
+
+
+def _exact_spec(policy: ReplacementPolicy, feature: str):
+    """The policy's inline form ``feature``, or ``None`` where a subclass
+    overrides a hook the form summarises."""
+    if inherited_feature_is_exact(policy, feature):
+        return getattr(policy, feature)()
+    return None

@@ -410,12 +410,10 @@ class CacheHierarchy:
         l2_touch_kind = l2._touch_kind
         l2_touch_rows = l2._touch_rows
         l2_touch_arg = l2._touch_arg
-        l2_policy_touch = l2._policy_touch
         l2_on_hit = l2.policy.on_hit
         slc_touch_kind = slc._touch_kind
         slc_touch_rows = slc._touch_rows
         slc_touch_arg = slc._touch_arg
-        slc_policy_touch = slc._policy_touch
         slc_on_hit = slc.policy.on_hit
         l2_fill = l2._fill_scalars
         slc_fill = slc._fill_scalars
@@ -467,10 +465,7 @@ class CacheHierarchy:
                     l2_touch_arg[0] = clock
                     l2_touch_rows[set_index][way] = clock
                 elif l2_touch_kind == 0:
-                    if l2_policy_touch is not None:
-                        l2_policy_touch(set_index, way)
-                    else:
-                        l2_on_hit(set_index, way, request)
+                    l2_on_hit(set_index, way, request)
                 if observer is not None and not is_prefetch:
                     observer(request, True)
                 level = 2
@@ -503,10 +498,7 @@ class CacheHierarchy:
                     elif slc_touch_kind == 1:
                         slc_touch_rows[set_index][way] = slc_touch_arg
                     elif slc_touch_kind == 0:
-                        if slc_policy_touch is not None:
-                            slc_policy_touch(set_index, way)
-                        else:
-                            slc_on_hit(set_index, way, request)
+                        slc_on_hit(set_index, way, request)
                     latency += lat_slc
                     if slc_exclusive:
                         slc_invalidate(line_no)
@@ -671,11 +663,7 @@ class CacheHierarchy:
                     elif kind == 1:
                         l1._touch_rows[set_index][way] = l1._touch_arg
                     elif kind == 0:
-                        touch = l1._policy_touch
-                        if touch is not None:
-                            touch(set_index, way)
-                        else:
-                            l1.policy.on_hit(set_index, way, scratch)
+                        l1.policy.on_hit(set_index, way, scratch)
                     continue
                 l1.stats.prefetch_misses += 1
                 latency, level = walk(scratch, None, line_no)

@@ -20,8 +20,8 @@ class LRUPolicy(ReplacementPolicy):
     victim is the valid way with the smallest stamp.  New lines are inserted
     as most-recently-used.
 
-    LRU is fully request-free: its whole interface is the array-state protocol
-    (``touch``/``victim``), which the cache calls directly on the hot path.
+    LRU never reads the request, and declares all three inline forms, so the
+    cache runs its hits, full-set fills and evictions with no Python call.
     """
 
     name = "lru"
@@ -42,48 +42,33 @@ class LRUPolicy(ReplacementPolicy):
     def _clock(self, value: int) -> None:
         self._clock_cell[0] = value
 
-    # The touch hook runs on every single cache access in the simulation hot
-    # loop; list indexing raises IndexError for out-of-range ways on its own,
-    # so the explicit range checks are left to the cold entry points.
-    def touch(self, set_index: int, way: int) -> None:
+    # The hooks run on the simulation hot loop with indices the cache
+    # validated already; list indexing raises IndexError for out-of-range
+    # ways on its own, so the explicit range checks are left out.
+    def on_hit(self, set_index: int, way: int, request: MemoryRequest) -> None:
         cell = self._clock_cell
         clock = cell[0] + 1
         cell[0] = clock
         self._stamps[set_index][way] = clock
 
-    # Backwards-compatible private alias (the seed baseline subclasses it).
-    _touch = touch
-
     def hit_update_spec(self):
         return ("clock", self._stamps, self._clock_cell)
 
     def replace_spec(self):
+        # The zero stamp on_evict writes is dead: on_insert overwrites it.
         return ("lru", self._stamps, self._clock_cell)
 
     def evict_update_spec(self):
-        if type(self).on_evict is not LRUPolicy.on_evict:
-            return None
         return ("const", self._stamps, 0)
 
-    def victim(self, set_index: int) -> int:
+    def select_victim(self, set_index: int, request: MemoryRequest) -> int:
         # min()/index() run at C speed over the per-set stamp array, which is
         # measurably faster than a Python loop for the 8/16-way paper caches.
         stamps = self._stamps[set_index]
         return stamps.index(min(stamps))
 
-    def replace(self, set_index: int) -> int:
-        """Fused victim + evict + insert: evict the LRU way and stamp it MRU.
-
-        Exactly ``victim`` (pick min stamp) followed by ``on_evict`` (zero the
-        stamp — dead, the insert overwrites it) and the insert ``touch``.
-        """
-        stamps = self._stamps[set_index]
-        way = stamps.index(min(stamps))
-        cell = self._clock_cell
-        clock = cell[0] + 1
-        cell[0] = clock
-        stamps[way] = clock
-        return way
+    # A new line is stamped most-recently-used, exactly as a hit is.
+    on_insert = on_hit
 
     def on_evict(
         self, set_index: int, way: int, request: Optional[MemoryRequest] = None
@@ -104,8 +89,8 @@ class FIFOPolicy(ReplacementPolicy):
 
     def __init__(self, num_sets: int, num_ways: int) -> None:
         super().__init__(num_sets, num_ways)
-        #: Monotonic insertion clock in a one-element cell so the fused
-        #: replacement can run declaratively (see :meth:`replace_spec`).
+        #: Monotonic insertion clock in a one-element cell so the full-set
+        #: fill can run declaratively (see :meth:`replace_spec`).
         self._clock_cell = [0]
         self._stamps = [[0] * num_ways for _ in range(num_sets)]
 
@@ -118,7 +103,7 @@ class FIFOPolicy(ReplacementPolicy):
     def _clock(self, value: int) -> None:
         self._clock_cell[0] = value
 
-    # touch stays the base no-op: FIFO hits do not refresh recency.
+    # on_hit stays the base no-op: FIFO hits do not refresh recency.
     def hit_update_spec(self):
         return ("noop",)
 
@@ -129,24 +114,13 @@ class FIFOPolicy(ReplacementPolicy):
         cell[0] = clock
         self._stamps[set_index][way] = clock
 
-    def victim(self, set_index: int) -> int:
+    def select_victim(self, set_index: int, request: MemoryRequest) -> int:
         self._check_set(set_index)
         stamps = self._stamps[set_index]
         return stamps.index(min(stamps))
 
-    def replace(self, set_index: int) -> int:
-        """Fused victim + evict + insert: evict oldest, stamp insertion order."""
-        self._check_set(set_index)
-        stamps = self._stamps[set_index]
-        way = stamps.index(min(stamps))
-        cell = self._clock_cell
-        clock = cell[0] + 1
-        cell[0] = clock
-        stamps[way] = clock
-        return way
-
     def replace_spec(self):
-        # FIFO's fused replacement is the same min-stamp-evict + clock-restamp
+        # FIFO's full-set fill is the same min-stamp-evict + clock-restamp
         # step as LRU's (hits never touch the stamps, which is the only
         # difference between the policies and lives in hit_update_spec).
         return ("lru", self._stamps, self._clock_cell)
@@ -168,11 +142,7 @@ class RandomPolicy(ReplacementPolicy):
         self._seed = seed
         self._rng = random.Random(seed)
 
-    def touch(self, set_index: int, way: int) -> None:
-        self._check_set(set_index)
-        self._check_way(way)
-
-    def victim(self, set_index: int) -> int:
+    def select_victim(self, set_index: int, request: MemoryRequest) -> int:
         self._check_set(set_index)
         return self._rng.randrange(self.num_ways)
 

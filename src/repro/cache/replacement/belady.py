@@ -68,9 +68,9 @@ class OptimalPolicy(ReplacementPolicy):
     def on_insert(self, set_index: int, way: int, request: MemoryRequest) -> None:
         self._resident[set_index][way] = line_address(request.address)
 
-    def victim(self, set_index: int) -> int:
-        """Evict the line re-used farthest in the future (request-free: the
-        oracle consults only its pre-recorded stream position)."""
+    def select_victim(self, set_index: int, request: MemoryRequest) -> int:
+        """Evict the line re-used farthest in the future (the oracle consults
+        only its pre-recorded stream position)."""
         self._check_set(set_index)
         resident = self._resident[set_index]
         return max(range(self.num_ways), key=lambda way: self._next_use(resident[way]))

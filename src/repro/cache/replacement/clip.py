@@ -44,17 +44,18 @@ class CLIPPolicy(RRIPBase):
         return self.rrpv_intermediate
 
     def on_hit(self, set_index: int, way: int, request: MemoryRequest) -> None:
+        rrpvs = self._rrpv[set_index]
         if request.is_instruction:
-            self.set_rrpv(set_index, way, self.rrpv_immediate)
+            rrpvs[way] = self.rrpv_immediate
             return
         if self.dueling.use_policy_a(set_index):
             # Variant A: default RRIP promotion for data lines.
-            self.set_rrpv(set_index, way, self.rrpv_immediate)
+            rrpvs[way] = self.rrpv_immediate
         else:
             # Variant B: data lines step towards Near (never past it, and a
             # line already at Immediate is left alone), preserving code lines.
-            current = self.rrpv(set_index, way)
-            self.set_rrpv(set_index, way, min(current, max(current - 1, self.rrpv_near)))
+            current = rrpvs[way]
+            rrpvs[way] = min(current, max(current - 1, self.rrpv_near))
 
     def on_insert(self, set_index: int, way: int, request: MemoryRequest) -> None:
         if not request.is_prefetch:

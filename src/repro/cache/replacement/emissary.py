@@ -69,14 +69,6 @@ class EmissaryPolicy(ReplacementPolicy):
         self._check_way(way)
         return self._priority[set_index][way]
 
-    def touch(self, set_index: int, way: int) -> None:
-        """LRU-style recency bump (array-state protocol)."""
-        self._clock += 1
-        self._stamps[set_index][way] = self._clock
-
-    # Backwards-compatible private alias.
-    _touch = touch
-
     def _priority_count(self, set_index: int) -> int:
         return sum(1 for flag in self._priority[set_index] if flag)
 
@@ -101,19 +93,21 @@ class EmissaryPolicy(ReplacementPolicy):
         return True
 
     def on_hit(self, set_index: int, way: int, request: MemoryRequest) -> None:
-        self._touch(set_index, way)
+        self._clock += 1
+        self._stamps[set_index][way] = self._clock
         if not self._priority[set_index][way] and self._grant_priority(
             set_index, request
         ):
             self._priority[set_index][way] = True
 
     def on_insert(self, set_index: int, way: int, request: MemoryRequest) -> None:
-        self._touch(set_index, way)
+        self._clock += 1
+        self._stamps[set_index][way] = self._clock
         self._priority[set_index][way] = self._grant_priority(set_index, request)
 
-    def victim(self, set_index: int) -> int:
-        """Priority-way LRU selection (request-free: hints only matter on
-        hit/insert, never during victim selection)."""
+    def select_victim(self, set_index: int, request: MemoryRequest) -> int:
+        """Priority-way LRU selection (hints only matter on hit/insert, never
+        during victim selection)."""
         self._check_set(set_index)
         stamps = self._stamps[set_index]
         priority = self._priority[set_index]

@@ -11,10 +11,8 @@ fills may transiently land in any invalid way because the cache always
 prefers invalid ways over victimisation; the partition bound is exact in the
 steady state every measured window runs in.
 
-The policy consumes ``request.core`` and therefore overrides the
-request-aware hooks; the cache detects that structurally and routes every
-hit/insert/victim through them (no declarative fast paths), which is
-automatically correct — just slower, as any request-aware policy is.
+The policy consumes ``request.core`` and declares no inline form, so the
+cache calls its four hooks on every hit, fill and eviction.
 Requests from cores beyond the configured segment count wrap around
 (``core % segments``), so a 2-segment partition also serves 4-core runs.
 """
@@ -104,7 +102,7 @@ class PartitionPolicy(ReplacementPolicy):
         ]
         self._segments = len(self._segment_ways)
 
-    # ------------------------------------------------------ request-aware hooks
+    # ------------------------------------------------------------------ hooks
     def on_hit(self, set_index: int, way: int, request: MemoryRequest) -> None:
         segment = self._segment_of_way[way]
         self._subs[segment].on_hit(

@@ -75,9 +75,9 @@ class RRIPBase(ReplacementPolicy):
     # The hooks write the RRPV arrays directly: they run on every access of
     # the simulation hot loop with indices the cache validated already, and
     # ``insertion_rrpv`` implementations return in-range predictions by
-    # construction.  ``set_rrpv`` (with its range validation) remains the
-    # entry point for tests and analysis code.
-    def touch(self, set_index: int, way: int) -> None:
+    # construction.  ``rrpv``/``set_rrpv`` (with their validation) remain the
+    # entry points for tests and analysis code.
+    def on_hit(self, set_index: int, way: int, request: MemoryRequest) -> None:
         """Default RRIP hit promotion: predict immediate re-reference."""
         self._rrpv[set_index][way] = self.rrpv_immediate
 
@@ -92,7 +92,7 @@ class RRIPBase(ReplacementPolicy):
         """RRPV assigned to a newly inserted line (overridden by subclasses)."""
         return self.rrpv_intermediate
 
-    def victim(self, set_index: int) -> int:
+    def select_victim(self, set_index: int, request: MemoryRequest) -> int:
         """RRIP eviction: age the set until some way reaches *Distant*.
 
         Equivalent to the textbook scan-and-increment loop, but the aging is
@@ -118,8 +118,6 @@ class RRIPBase(ReplacementPolicy):
         self._rrpv[set_index][way] = self.rrpv_max
 
     def evict_update_spec(self):
-        if type(self).on_evict is not RRIPBase.on_evict:
-            return None
         return ("const", self._rrpv, self.rrpv_max)
 
 
@@ -128,31 +126,11 @@ class SRRIPPolicy(RRIPBase):
 
     name = "srrip"
 
-    def replace(self, set_index: int) -> int:
-        """Fused victim + evict + insert for static RRIP.
-
-        Exactly ``victim`` (age to *Distant*, pick first), ``on_evict`` (write
-        *Distant* — dead, the way already holds it) and ``on_insert`` at the
-        static intermediate prediction.  Only exact for SRRIP itself: the
-        dynamic-insertion policies subclass :class:`RRIPBase` directly and
-        never see this method, and a hypothetical subclass of SRRIP that
-        overrode ``insertion_rrpv`` (or any other summarised hook) is
-        rejected by the cache's structural guard
-        (:func:`~repro.cache.replacement.base.inherited_feature_is_exact`),
-        falling back to the plain hook sequence.
-        """
-        rrpvs = self._rrpv[set_index]
-        distant = self.rrpv_distant
-        oldest = max(rrpvs)
-        if oldest < distant:
-            delta = distant - oldest
-            for way in range(self.num_ways):
-                rrpvs[way] += delta
-        way = rrpvs.index(distant)
-        rrpvs[way] = self.rrpv_intermediate
-        return way
-
     def replace_spec(self):
+        # Aging, then the static insertion; the Distant RRPV on_evict writes
+        # is dead (the way already holds it).  Exact for SRRIP only: a
+        # subclass overriding ``insertion_rrpv`` or any other summarised hook
+        # is called through its hooks (see ``inherited_feature_is_exact``).
         return ("rrip", self._rrpv, self.rrpv_distant, self.rrpv_intermediate)
 
 

@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="best-of-N interleaved measurement rounds (default: 3)",
+        help="best-of-N interleaved measurement rounds, N >= 1 (default: 5)",
     )
     bench_parser.add_argument(
         "--no-sweep",
@@ -834,8 +834,10 @@ def _cmd_bench(args) -> int:
         run_engine_bench,
     )
 
+    if args.rounds is not None and args.rounds < 1:
+        raise ConfigurationError(f"--rounds must be >= 1, got {args.rounds}")
     report = run_engine_bench(
-        rounds=args.rounds or ROUNDS,
+        rounds=ROUNDS if args.rounds is None else args.rounds,
         tiny=args.tiny,
         sweep=not args.no_sweep,
     )

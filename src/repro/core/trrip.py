@@ -62,20 +62,21 @@ class TRRIPPolicy(RRIPBase):
 
     # ------------------------------------------------------------------ hits
     def on_hit(self, set_index: int, way: int, request: MemoryRequest) -> None:
+        # Writes the RRPV array directly, as every RRIPBase hook does.
+        rrpvs = self._rrpv[set_index]
         temperature = self._effective_temperature(request)
         if temperature is Temperature.HOT:
             # TRRIP variant 1 & 2: hot lines predicted immediate re-reference.
-            self.set_rrpv(set_index, way, self.rrpv_immediate)
+            rrpvs[way] = self.rrpv_immediate
             return
         if self.variant == 2 and temperature in (Temperature.WARM, Temperature.COLD):
             # TRRIP variant 2 only: conservative decrement so hot lines keep
             # exclusive claim to the Immediate position.
-            current = self.rrpv(set_index, way)
-            self.set_rrpv(set_index, way, max(current - 1, self.rrpv_immediate))
+            rrpvs[way] = max(rrpvs[way] - 1, self.rrpv_immediate)
             return
         # Default RRIP behaviour (data lines, untagged lines, and warm/cold in
         # variant 1).
-        self.set_rrpv(set_index, way, self.rrpv_immediate)
+        rrpvs[way] = self.rrpv_immediate
 
     # ------------------------------------------------------------------ fills
     def insertion_rrpv(self, set_index: int, request: MemoryRequest) -> int:

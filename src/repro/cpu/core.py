@@ -537,7 +537,6 @@ def _core_replay(core: CoreModel):
     i_kind = l1i._touch_kind
     i_rows = l1i._touch_rows
     i_arg = l1i._touch_arg
-    i_touch = l1i._policy_touch
     i_on_hit = l1i.policy.on_hit
     l1d = hierarchy.l1d
     l1d_map = l1d._line_map
@@ -547,7 +546,6 @@ def _core_replay(core: CoreModel):
     d_kind = l1d._touch_kind
     d_rows = l1d._touch_rows
     d_arg = l1d._touch_arg
-    d_touch = l1d._policy_touch
     d_on_hit = l1d.policy.on_hit
     lat_l1i = hierarchy._lat_l1i
     lat_l1d = hierarchy._lat_l1d
@@ -601,10 +599,7 @@ def _core_replay(core: CoreModel):
                         elif i_kind == 1:
                             i_rows[line_no & l1i_mask][way] = i_arg
                         elif i_kind == 0:
-                            if i_touch is not None:
-                                i_touch(line_no & l1i_mask, way)
-                            else:
-                                i_on_hit(line_no & l1i_mask, way, request)
+                            i_on_hit(line_no & l1i_mask, way, request)
                         if targets:
                             issue_targets(request, l1i, targets)
                         if fetch_hit_stall <= 0:
@@ -642,13 +637,10 @@ def _core_replay(core: CoreModel):
                     elif d_kind == 1:
                         d_rows[set_index][way] = d_arg
                     elif d_kind == 0:
-                        if d_touch is not None:
-                            d_touch(set_index, way)
-                        else:
-                            scratch.address = address
-                            scratch.access_type = kind
-                            scratch.pc = pc
-                            d_on_hit(set_index, way, scratch)
+                        scratch.address = address
+                        scratch.access_type = kind
+                        scratch.pc = pc
+                        d_on_hit(set_index, way, scratch)
                     if targets:
                         scratch.address = address
                         scratch.access_type = kind

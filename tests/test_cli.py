@@ -293,7 +293,7 @@ class TestBench:
         The floors are deliberately conservative, so a healthy engine passes
         even on a noisy test machine; a real hot-path regression (orders of
         magnitude, not percent) would exit non-zero here.  It measures as
-        ``repro bench`` does by default, best of three rounds: a single
+        ``repro bench`` does by default, best of five rounds: a single
         round's wall-clock ratio can dip to a floor on a busy host.
         """
         from repro.experiments.bench import load_floors
@@ -329,6 +329,20 @@ class TestBench:
             "scalar_speedup_floors"
         ]
         assert set(floors["scalar_speedup_floors"]) == set(report["shapes"])
+
+    @pytest.mark.parametrize("rounds", ["0", "-1"])
+    def test_rounds_below_one_are_rejected_before_any_work(
+        self, rounds, capsys, monkeypatch
+    ):
+        from repro.experiments import bench
+
+        def no_bench(**kwargs):
+            raise AssertionError("the bench ran")
+
+        monkeypatch.setattr(bench, "run_engine_bench", no_bench)
+        assert main(["bench", "--tiny", "--rounds", rounds]) == 1
+        err = capsys.readouterr().err
+        assert err == f"repro: --rounds must be >= 1, got {rounds}\n"
 
 
 def run_python(code: str) -> subprocess.CompletedProcess:

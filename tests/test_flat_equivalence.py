@@ -8,9 +8,8 @@ replays randomized access streams through it and through
 drives the *same replacement-policy class* through the plain
 ``on_hit``/``select_victim``/``on_evict``/``on_insert`` hook sequence — and
 asserts the two observe **identical hit/miss/evict/writeback sequences** for
-every registered policy.  Any shortcut in the flat cache (fused ``replace``,
-declarative specs, skipped probes) that changed behaviour for any policy
-would diverge here.
+every registered policy.  Any shortcut in the flat cache (inline forms,
+skipped probes) that changed behaviour for any policy would diverge here.
 """
 
 from __future__ import annotations
@@ -257,55 +256,63 @@ def test_flat_cache_matches_object_reference(policy_name, seed):
 
 
 class TestSubclassOverrideGuards:
-    def test_subclass_overriding_select_victim_disables_fused_replace(self):
-        """A policy subclass changing victim choice must actually be called.
+    """A subclass overriding a hook an inline form summarises is called.
 
-        The fused ``replace``/``replace_spec`` shortcuts are inherited
-        attributes; the cache's structural guard has to notice the overridden
-        hook and fall back to the plain sequence, otherwise the override is
-        silently bypassed on full sets.
-        """
-        from repro.cache.replacement.basic import LRUPolicy
+    The inline forms (``hit_update_spec``, ``replace_spec``,
+    ``evict_update_spec``) are inherited attributes; the cache's structural
+    guard has to notice the overridden hook and call it, otherwise the
+    override is silently bypassed.  LRU, FIFO and SRRIP between them declare
+    every form.
+    """
 
-        class MRUPolicy(LRUPolicy):
-            """Evict the *most* recently used way (inverse of LRU)."""
-
-            def select_victim(self, set_index, request):
-                stamps = self._stamps[set_index]
-                return stamps.index(max(stamps))
-
-        cache = SetAssociativeCache("mru", SIZE, WAYS, MRUPolicy(SETS, WAYS), LINE)
-        assert cache._policy_replace is None
-        assert cache._replace_kind == 0
-
-        # Fill one set, touching ways in order; the MRU way must be evicted.
-        stride = SETS * LINE
-        for way in range(WAYS):
-            cache.fill(
-                MemoryRequest(address=way * stride, access_type=AccessType.DATA_LOAD)
-            )
-        victim = cache.fill(
-            MemoryRequest(address=WAYS * stride, access_type=AccessType.DATA_LOAD)
-        )
-        assert victim is not None
-        assert victim.address == (WAYS - 1) * stride  # MRU, not LRU (way 0)
-
-    def test_subclass_overriding_touch_disables_declarative_hit(self):
-        from repro.cache.replacement.basic import LRUPolicy
-
+    @pytest.mark.parametrize(
+        "base, hook",
+        [
+            (base, hook)
+            for base in ("lru", "fifo", "srrip")
+            for hook in ("on_hit", "select_victim", "on_evict", "on_insert")
+        ]
+        + [("srrip", "insertion_rrpv")],
+        ids=lambda value: value,
+    )
+    def test_override_is_called(self, base, hook):
+        policy_class = type(build_policy(base))
+        original = getattr(policy_class, hook)
         calls = []
 
-        class LoggingLRU(LRUPolicy):
-            def touch(self, set_index, way):
-                calls.append((set_index, way))
-                super().touch(set_index, way)
+        def logged(self, *args):
+            calls.append(args)
+            result = original(self, *args)
+            if hook == "select_victim":
+                # Evict the way after the base choice: the cache must honour
+                # the override's answer, not only call it.
+                result = (result + 1) % WAYS
+            return result
 
+        logging_class = type("Logging", (policy_class,), {hook: logged})
         cache = SetAssociativeCache(
-            "log", SIZE, WAYS, LoggingLRU(SETS, WAYS), LINE
+            "log", SIZE, WAYS, logging_class(SETS, WAYS), LINE
         )
-        assert cache._touch_kind == 0  # declarative shortcut disabled
-        request = MemoryRequest(address=0x40, access_type=AccessType.DATA_LOAD)
-        cache.fill(request)
-        calls.clear()
-        cache.access(request)
-        assert calls  # the override really ran on the hit path
+
+        # One set filled past capacity (one full-set fill), one hit and one
+        # invalidation: every hook runs at least once.
+        stride = SETS * LINE
+        requests = [
+            MemoryRequest(address=way * stride, access_type=AccessType.DATA_LOAD)
+            for way in range(WAYS + 1)
+        ]
+        victims = [cache.fill(request) for request in requests]
+        # Every base evicts way 0 of the full set (oldest stamp, or the first
+        # way aged to Distant); the select_victim override shifts it.
+        assert victims[-1].address == (stride if hook == "select_victim" else 0)
+        assert cache.access(requests[-1])
+        assert cache.invalidate(requests[-1].address)
+
+        expected = {
+            "on_hit": 1,
+            "select_victim": 1,
+            "on_evict": 2,
+            "on_insert": WAYS + 1,
+            "insertion_rrpv": WAYS + 1,
+        }[hook]
+        assert len(calls) == expected
